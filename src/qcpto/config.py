@@ -7,6 +7,7 @@ rejected by name.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -164,6 +165,30 @@ def validate_config(cfg: RunConfig) -> None:
             f"unknown pair mode {cfg.geometry.pair_mode!r} for key geometry.pair_mode")
     if not 0.0 <= cfg.metrics.phi <= 1.0:
         raise ConfigError("metrics.phi must lie in [0, 1]")
+    _validate_predictor(cfg.predictor)
+
+
+def _is_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _validate_predictor(p: PredictorSection) -> None:
+    for key, length in (("p0_diag", 4), ("q_diag", 4), ("r_diag", 2)):
+        diag = getattr(p, key)
+        if not (isinstance(diag, tuple) and len(diag) == length
+                and all(_is_number(v) and v >= 0 for v in diag)):
+            raise ConfigError(f"predictor.{key} must be {length} finite numbers >= 0, "
+                              f"got {diag!r}")
+    if not (_is_number(p.roi_height_m) and p.roi_height_m > 0):
+        raise ConfigError(f"predictor.roi_height_m must be > 0, got {p.roi_height_m!r}")
+    if not (_is_number(p.measurement_noise_std) and p.measurement_noise_std >= 0):
+        raise ConfigError("predictor.measurement_noise_std must be a finite number >= 0, "
+                          f"got {p.measurement_noise_std!r}")
+    for key, low in (("warmup_slots", 1), ("coast_slots", 0)):
+        value = getattr(p, key)
+        if not (isinstance(value, int) and not isinstance(value, bool) and value >= low):
+            raise ConfigError(f"predictor.{key} must be an integer >= {low}, got {value!r}")
 
 
 def config_to_dict(cfg: RunConfig) -> dict:

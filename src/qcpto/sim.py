@@ -15,6 +15,7 @@ import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -211,6 +212,16 @@ class EpochLog:
     decision_time_s: float
 
 
+@contextmanager
+def _epoch_errors(slot: int):
+    """Prefix the message of any error raised inside with its epoch."""
+    try:
+        yield
+    except Exception as exc:
+        exc.args = (f"epoch {slot}: {exc}",)
+        raise
+
+
 def run_simulation(trace: Trace, workers: Sequence[Worker], scheme: str,
                    cfg: RunConfig, seed: int) -> tuple[RunReport, list[EpochLog]]:
     """Simulate every decision epoch of a trace under one offloading scheme."""
@@ -234,28 +245,26 @@ def run_simulation(trace: Trace, workers: Sequence[Worker], scheme: str,
 
     for rec in trace.records:
         slot = rec.slot
-        outputs = run_predictor(trace, slot, banks, pcfg, noise_rng)
-        for uid in list(banks):
-            if uid not in outputs:
-                missed[uid] = missed.get(uid, 0) + 1
-                if missed[uid] > coast_slots:
-                    del banks[uid]
-                    missed.pop(uid, None)
-                else:
-                    banks[uid] = coast(banks[uid])
+        with _epoch_errors(slot):
+            outputs = run_predictor(trace, slot, banks, pcfg, noise_rng)
+            for uid in list(banks):
+                if uid not in outputs:
+                    missed[uid] = missed.get(uid, 0) + 1
+                    if missed[uid] > coast_slots:
+                        del banks[uid]
+                        missed.pop(uid, None)
+                    else:
+                        banks[uid] = coast(banks[uid])
         for uid, out in outputs.items():
             banks[uid] = out.state
             missed[uid] = 0
 
         states = {s.user_id: s for s in rec.states}
         ctx = build_epoch(slot, outputs, states, users, workers, cfg, gspec)
-        t0 = time.perf_counter()
-        try:
+        with _epoch_errors(slot):
+            t0 = time.perf_counter()
             inst_assignment = solve_epoch(ctx, scheme, cfg, seed * 1_000_003 + slot)
-        except Exception as exc:
-            exc.args = (f"epoch {slot}: {exc}",)
-            raise
-        decision_time = time.perf_counter() - t0
+            decision_time = time.perf_counter() - t0
         assignment = Assignment({ctx.queue_ids[i]: j
                                  for i, j in inst_assignment.items()})
         objective = (evaluate_objective(inst_assignment, ctx.instance.quality)

@@ -145,3 +145,30 @@ def test_config_round_trip_dict():
 def test_config_rejects_unknown_top_level_key():
     with pytest.raises(ConfigError):
         config_from_dict({"nonsense": 1})
+
+
+@pytest.mark.parametrize("key,value", [
+    ("p0_diag", [1.0, 1.0]),
+    ("p0_diag", [1.0, 1.0, float("nan"), 10.0]),
+    ("q_diag", [-1.0, 0.01, 0.1, 0.1]),
+    ("q_diag", [0.01, 0.01, 0.1, "0.1"]),
+    ("r_diag", [0.25, 0.25, 0.25]),
+    ("r_diag", [0.25, float("inf")]),
+    ("roi_height_m", 0.0),
+    ("measurement_noise_std", -1.0),
+    ("warmup_slots", 0),
+    ("coast_slots", -1),
+    ("coast_slots", 1.5),
+])
+def test_run_bad_predictor_value_exits_1(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path, small_config_doc(predictor={key: value}))
+    out = tmp_path / "r"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    assert f"predictor.{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_accepts_zero_process_and_measurement_noise():
+    cfg = config_from_dict({"predictor": {"q_diag": [0, 0, 0, 0], "r_diag": [0, 0]}})
+    assert cfg.predictor.q_diag == (0, 0, 0, 0)
+    assert cfg.predictor.r_diag == (0, 0)
