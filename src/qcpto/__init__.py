@@ -1,7 +1,7 @@
 """Quality-aware cooperative-perception task offloading: simulator and solvers."""
 
 from .baselines import solve_cpto, solve_go
-from .geometry import (GridSpec, OccupancyGrid, QualityMatrix,
+from .geometry import (EpochRasters, GridSpec, OccupancyGrid, QualityMatrix,
                        build_quality_matrix, detected_awareness, fov_triangle,
                        rasterize_triangle, shared_interest)
 from .latency import (LatencyBreakdown, compute_delay, response_latency,

@@ -160,12 +160,10 @@ def validate_config(cfg: RunConfig) -> None:
     for s in cfg.sweep.schemes:
         if s not in SCHEMES:
             raise ConfigError(f"unknown scheme {s!r} in sweep.schemes")
-    if cfg.geometry.pair_mode not in ("sum", "max", "mean"):
-        raise ConfigError(
-            f"unknown pair mode {cfg.geometry.pair_mode!r} for key geometry.pair_mode")
     if not 0.0 <= cfg.metrics.phi <= 1.0:
         raise ConfigError("metrics.phi must lie in [0, 1]")
     _validate_predictor(cfg.predictor)
+    _validate_geometry(cfg.geometry)
 
 
 def _is_number(value) -> bool:
@@ -189,6 +187,19 @@ def _validate_predictor(p: PredictorSection) -> None:
         value = getattr(p, key)
         if not (isinstance(value, int) and not isinstance(value, bool) and value >= low):
             raise ConfigError(f"predictor.{key} must be an integer >= {low}, got {value!r}")
+
+
+def _validate_geometry(g: GeometrySection) -> None:
+    if g.pair_mode not in ("sum", "max", "mean"):
+        raise ConfigError(f"unknown pair mode {g.pair_mode!r} for key geometry.pair_mode")
+    for key in ("cell_size_m", "fov_range_m"):
+        value = getattr(g, key)
+        if not (_is_number(value) and value > 0):
+            raise ConfigError(f"geometry.{key} must be a finite number > 0, got {value!r}")
+    # at 90 degrees the sensor triangle's base is infinitely wide
+    if not (_is_number(g.fov_half_angle_deg) and 0 < g.fov_half_angle_deg < 90):
+        raise ConfigError("geometry.fov_half_angle_deg must lie in (0, 90), "
+                          f"got {g.fov_half_angle_deg!r}")
 
 
 def config_to_dict(cfg: RunConfig) -> dict:

@@ -12,6 +12,10 @@ directional coverage gains
 
 i.e. the fraction of i's region of interest that k's field of view covers
 and i's own does not (non-redundant gain; 0 when ROI_i is empty).
+
+Pipeline code rasterizes each user's ROI and FOV once into an
+:class:`EpochRasters` bank, inside each triangle's bounding window, and
+counts gains and awareness over the union of the ROI cells only.
 """
 from __future__ import annotations
 
@@ -78,15 +82,19 @@ def _edge_values(ax, ay, bx, by, px, py):
     return (bx - ax) * (py - ay) - (by - ay) * (px - ax)
 
 
-def rasterize_triangle(tri: TriangleLike, grid_spec: GridSpec) -> OccupancyGrid:
-    """Rasterize a triangle: cell set iff its center is inside or on the edge."""
-    bits = np.zeros((grid_spec.height, grid_spec.width), dtype=bool)
+def _triangle_window(tri: TriangleLike, grid_spec: GridSpec):
+    """Cells of a triangle inside its bounding window of the grid.
+
+    Returns ``(lo_row, lo_col, inside)``, where ``inside`` is a bool array
+    over the window's rows and columns starting at ``lo_row``/``lo_col``, or
+    ``None`` when the triangle is missing, degenerate or off the grid.
+    """
     if tri is None:
-        return OccupancyGrid(grid_spec, bits)
+        return None
     (ax, ay), (bx, by), (cx, cy) = [(float(v[0]), float(v[1])) for v in tri]
     area2 = _edge_values(ax, ay, bx, by, cx, cy)
     if area2 == 0.0:
-        return OccupancyGrid(grid_spec, bits)
+        return None
 
     cs, ox, oy = grid_spec.cell_size, grid_spec.origin_x, grid_spec.origin_y
     lo_col = max(0, int(math.floor((min(ax, bx, cx) - ox) / cs - 0.5)) - 1)
@@ -94,7 +102,7 @@ def rasterize_triangle(tri: TriangleLike, grid_spec: GridSpec) -> OccupancyGrid:
     lo_row = max(0, int(math.floor((min(ay, by, cy) - oy) / cs - 0.5)) - 1)
     hi_row = min(grid_spec.height - 1, int(math.ceil((max(ay, by, cy) - oy) / cs)) + 1)
     if lo_col > hi_col or lo_row > hi_row:
-        return OccupancyGrid(grid_spec, bits)
+        return None
 
     cols = np.arange(lo_col, hi_col + 1)
     rows = np.arange(lo_row, hi_row + 1)
@@ -107,8 +115,31 @@ def rasterize_triangle(tri: TriangleLike, grid_spec: GridSpec) -> OccupancyGrid:
         inside = (d1 >= 0) & (d2 >= 0) & (d3 >= 0)
     else:
         inside = (d1 <= 0) & (d2 <= 0) & (d3 <= 0)
-    bits[lo_row:hi_row + 1, lo_col:hi_col + 1] = inside
+    return lo_row, lo_col, inside
+
+
+def rasterize_triangle(tri: TriangleLike, grid_spec: GridSpec) -> OccupancyGrid:
+    """Rasterize a triangle: cell set iff its center is inside or on the edge."""
+    bits = np.zeros((grid_spec.height, grid_spec.width), dtype=bool)
+    window = _triangle_window(tri, grid_spec)
+    if window is not None:
+        lo_row, lo_col, inside = window
+        bits[lo_row:lo_row + inside.shape[0], lo_col:lo_col + inside.shape[1]] = inside
     return OccupancyGrid(grid_spec, bits)
+
+
+_NO_CELLS = np.zeros(0, dtype=np.intp)
+_NO_CELLS.setflags(write=False)
+
+
+def _triangle_cells(tri: TriangleLike, grid_spec: GridSpec) -> np.ndarray:
+    """Flat row-major indices (row * width + col) of a triangle's cells, ascending."""
+    window = _triangle_window(tri, grid_spec)
+    if window is None:
+        return _NO_CELLS
+    lo_row, lo_col, inside = window
+    rows, cols = np.nonzero(inside)
+    return (rows + lo_row) * grid_spec.width + (cols + lo_col)
 
 
 def fov_triangle(v: VehicleState, range_m: float, half_angle: float) -> tuple:
@@ -134,44 +165,80 @@ def _roi_triangle(roi) -> TriangleLike:
     return roi
 
 
-def _rasterize_all(tris: Mapping[int, TriangleLike], grid_spec: GridSpec) -> dict[int, np.ndarray]:
-    return {uid: rasterize_triangle(_roi_triangle(t), grid_spec).bits
-            for uid, t in tris.items()}
+class EpochRasters:
+    """The ROI and FOV cells of one epoch's users, each rasterized once.
+
+    Every gain and awareness term is a subset of some user's ROI, so only
+    the union of the users' ROI cells is kept: ``cells`` holds their flat
+    grid indices in ascending order, and row ``a`` of the ``(n, U)`` bool
+    matrices ``roi`` and ``fov`` marks which of those U cells the ROI and FOV
+    of user ``ids[a]`` cover. Counts over these columns equal counts over
+    the full grid, so every quotient is the same ``int / int``.
+    """
+
+    def __init__(self, ids: Sequence[int], rois: Mapping, fovs: Mapping,
+                 grid_spec: GridSpec):
+        self.ids = tuple(ids)
+        self._row = {u: a for a, u in enumerate(self.ids)}
+        roi_cells = [_triangle_cells(_roi_triangle(rois[u]), grid_spec) for u in self.ids]
+        fov_cells = [_triangle_cells(fovs[u], grid_spec) for u in self.ids]
+        merged = np.sort(np.concatenate([_NO_CELLS, *roi_cells]))
+        first = np.ones(merged.size, dtype=bool)
+        first[1:] = merged[1:] != merged[:-1]
+        self.cells = merged[first]
+        shape = (len(self.ids), self.cells.size)
+        self.roi = np.zeros(shape, dtype=bool)
+        self.fov = np.zeros(shape, dtype=bool)
+        for a in range(len(self.ids)):
+            self.roi[a, np.searchsorted(self.cells, roi_cells[a])] = True
+            self.fov[a, self._columns(fov_cells[a])] = True
+        self.total = np.count_nonzero(self.roi, axis=1)
+
+    def _columns(self, cells: np.ndarray) -> np.ndarray:
+        """Columns of the given grid cells that lie in the ROI union."""
+        if not self.cells.size:
+            return _NO_CELLS
+        pos = np.minimum(np.searchsorted(self.cells, cells), self.cells.size - 1)
+        return pos[self.cells[pos] == cells]
+
+    def quality(self, mode: str = "sum") -> np.ndarray:
+        """Pairwise shared interest of all users, rows/columns in ``ids`` order.
+
+        ``g[a, b]`` is the directional gain of user a from user b; the pair
+        value combines ``g[a, b]`` and ``g[b, a]`` by ``mode``.
+        """
+        need = self.roi & ~self.fov
+        counts = np.count_nonzero(need[:, None, :] & self.fov[None, :, :], axis=2)
+        total = self.total[:, None]
+        g = np.zeros(counts.shape)
+        np.divide(counts, total, out=g, where=total > 0)
+        if mode == "sum":
+            return g + g.T
+        if mode == "max":
+            return np.maximum(g, g.T)
+        if mode == "mean":
+            return 0.5 * (g + g.T)
+        raise ValueError(f"unknown pair mode {mode!r}")
+
+    def awareness(self, i: int, collaborators: Iterable[int]) -> float:
+        """Fraction of user i's ROI covered by its own FOV plus collaborators' FOVs."""
+        a = self._row[i]
+        total = int(self.total[a])
+        if total == 0:
+            raise EmptyRoi(f"user {i} ROI rasterizes to zero cells")
+        others = [self._row[k] for k in collaborators]
+        cover = self.fov[a] | self.fov[others].any(axis=0)
+        return int(np.count_nonzero(self.roi[a] & cover)) / total
 
 
 def detected_awareness(i: int, collaborators: Iterable[int],
                        rois: Mapping, fovs: Mapping,
                        grid_spec: GridSpec) -> float:
     """Fraction of user i's ROI covered by its own FOV plus collaborators' FOVs."""
-    roi_bits = rasterize_triangle(_roi_triangle(rois[i]), grid_spec).bits
-    total = int(roi_bits.sum())
-    if total == 0:
-        raise EmptyRoi(f"user {i} ROI rasterizes to zero cells")
-    cover = rasterize_triangle(fovs[i], grid_spec).bits
-    for k in sorted(set(collaborators)):
-        if k == i:
-            continue
-        cover = cover | rasterize_triangle(fovs[k], grid_spec).bits
-    return int((roi_bits & cover).sum()) / total
-
-
-def _directional_gain(roi_bits: np.ndarray, fov_own: np.ndarray,
-                      fov_other: np.ndarray) -> float:
-    total = int(roi_bits.sum())
-    if total == 0:
-        return 0.0
-    gained = roi_bits & fov_other & ~fov_own
-    return int(gained.sum()) / total
-
-
-def _combine(g_ik: float, g_ki: float, mode: str) -> float:
-    if mode == "sum":
-        return g_ik + g_ki
-    if mode == "max":
-        return max(g_ik, g_ki)
-    if mode == "mean":
-        return 0.5 * (g_ik + g_ki)
-    raise ValueError(f"unknown pair mode {mode!r}")
+    others = sorted(set(collaborators) - {i})
+    # collaborators' ROIs do not enter i's awareness
+    only_i = {**dict.fromkeys(others), i: rois[i]}
+    return EpochRasters([i, *others], only_i, fovs, grid_spec).awareness(i, others)
 
 
 def shared_interest(i: int, k: int, rois: Mapping, fovs: Mapping,
@@ -179,12 +246,7 @@ def shared_interest(i: int, k: int, rois: Mapping, fovs: Mapping,
     """Symmetric pairwise value of information between users i and k."""
     if i == k:
         raise ValueError("shared interest is defined for distinct users")
-    roi_i = rasterize_triangle(_roi_triangle(rois[i]), grid_spec).bits
-    roi_k = rasterize_triangle(_roi_triangle(rois[k]), grid_spec).bits
-    fov_i = rasterize_triangle(fovs[i], grid_spec).bits
-    fov_k = rasterize_triangle(fovs[k], grid_spec).bits
-    return _combine(_directional_gain(roi_i, fov_i, fov_k),
-                    _directional_gain(roi_k, fov_k, fov_i), mode)
+    return float(EpochRasters([i, k], rois, fovs, grid_spec).quality(mode)[0, 1])
 
 
 @dataclass(frozen=True)
@@ -217,22 +279,7 @@ def build_quality_matrix(flagged_users: Sequence[int], rois: Mapping, fovs: Mapp
 
     Row/column order follows ``flagged_users``.
     """
-    ids = list(flagged_users)
-    n = len(ids)
-    roi_bits = {u: rasterize_triangle(_roi_triangle(rois[u]), grid_spec).bits for u in ids}
-    fov_bits = {u: rasterize_triangle(fovs[u], grid_spec).bits for u in ids}
-    q = np.zeros((n, n), dtype=float)
-    for a in range(n):
-        i = ids[a]
-        for b in range(a + 1, n):
-            k = ids[b]
-            val = _combine(
-                _directional_gain(roi_bits[i], fov_bits[i], fov_bits[k]),
-                _directional_gain(roi_bits[k], fov_bits[k], fov_bits[i]),
-                mode,
-            )
-            q[a, b] = q[b, a] = val
-    return QualityMatrix(q)
+    return QualityMatrix(EpochRasters(flagged_users, rois, fovs, grid_spec).quality(mode))
 
 
 def write_pgm(grid: OccupancyGrid, path) -> None:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .errors import EmptyRoi, EmptyRun
-from .geometry import GridSpec, detected_awareness
+from .geometry import EpochRasters, GridSpec
 from .latency import response_latency
 from .model import Assignment, Turn, User, Worker
 
@@ -51,12 +51,13 @@ def epoch_metrics(slot: int, assignment: Assignment, rois: Mapping, fovs: Mappin
     """Evaluate one decision epoch over the flagged queue ``users``."""
     workers_by_id = {w.id: w for w in workers}
     eta = assignment.eta()
+    rasters = EpochRasters([u.id for u in users], rois, fovs, grid_spec)
     records = []
     for u in sorted(users, key=lambda u: u.id):
         wid = assignment.worker_of(u.id)
         collaborators = [k for k in assignment.users_of(wid) if k != u.id] if wid is not None else []
         try:
-            awareness = detected_awareness(u.id, collaborators, rois, fovs, grid_spec)
+            awareness = rasters.awareness(u.id, collaborators)
         except EmptyRoi:
             awareness = 0.0  # ROI fell outside the rasterized region
         latency = 0.0

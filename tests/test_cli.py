@@ -168,6 +168,24 @@ def test_run_bad_predictor_value_exits_1(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key,value", [
+    ("cell_size_m", 0.0),
+    ("cell_size_m", -1.0),
+    ("cell_size_m", "x"),
+    ("fov_range_m", 0.0),
+    ("fov_range_m", float("inf")),
+    ("fov_half_angle_deg", 0.0),
+    ("fov_half_angle_deg", 90.0),
+    ("fov_half_angle_deg", float("nan")),
+])
+def test_run_bad_geometry_value_exits_1(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path, small_config_doc(geometry={key: value}))
+    out = tmp_path / "r"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    assert f"geometry.{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_accepts_zero_process_and_measurement_noise():
     cfg = config_from_dict({"predictor": {"q_diag": [0, 0, 0, 0], "r_diag": [0, 0]}})
     assert cfg.predictor.q_diag == (0, 0, 0, 0)
