@@ -8,7 +8,7 @@ from .latency import (LatencyBreakdown, compute_delay, response_latency,
                       transmit_delay, worker_capacity)
 from .metrics import EpochReport, RunReport, epoch_metrics, run_aggregate
 from .model import (Assignment, Roi, TaskProfile, Turn, User, VehicleState,
-                    Worker, validate_scenario)
+                    Worker)
 from .predict import (KfState, PredictorConfig, classify_turn, estimate_roi,
                       kf_predict, kf_update, run_predictor)
 from .qmkp import (QmkpInstance, Solution, check_feasible, enumerate_optimal,

@@ -18,7 +18,8 @@ import numpy as np
 from scipy import stats
 
 from . import sim
-from .config import RunConfig, SCHEMES, config_to_dict, load_config
+from .config import (RunConfig, SCHEMES, config_to_dict, load_config,
+                     validate_config)
 from .errors import ConfigError, MissingResults
 from .qmkp import enumerate_optimal, instance_to_json, random_instance
 from .solve_exact import solve_exact
@@ -45,14 +46,11 @@ def cmd_run(config_path: str | None, scheme: str | None, seed: int | None,
     try:
         cfg = load_config(config_path) if config_path else RunConfig()
         if seed is not None:
-            cfg = dataclasses.replace(cfg, seed=int(seed))
+            cfg = dataclasses.replace(cfg, seed=seed)
         if scheme is not None:
-            if scheme not in SCHEMES:
-                raise ConfigError(
-                    f"unknown scheme {scheme!r} for key solver.scheme "
-                    f"(expected one of {', '.join(SCHEMES)})")
             solver = dataclasses.replace(cfg.solver, scheme=scheme)
             cfg = dataclasses.replace(cfg, solver=solver)
+        validate_config(cfg)  # the overrides are checked like the file
     except ConfigError as exc:
         print(f"config error ({config_path}): {exc}", file=sys.stderr)
         return 1

@@ -2,19 +2,24 @@
 
 Every tunable default of the library appears here under a named key so a
 single resolved document reproduces a run exactly. Unknown keys are
-rejected by name.
+rejected by name, and every value is type- and range-checked at load, so a
+bad value fails here naming its key instead of mid-run.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 from .errors import ConfigError
+from .geometry import GridSpec
 
 SCHEMES = ("exact", "heuristic", "go", "cpto")
-EXPERIMENTS = ("CpuCapacity", "Deadline", "UserCount", "Runtime")
+# the scenario key each sweep experiment sets to its grid values
+EXPERIMENT_KEYS = {"CpuCapacity": "worker_base_cpu_ghz", "Deadline": "deadline_s",
+                   "UserCount": "n_vehicles", "Runtime": "n_vehicles"}
+EXPERIMENTS = tuple(EXPERIMENT_KEYS)
 
 
 @dataclass(frozen=True)
@@ -76,8 +81,6 @@ class SolverSection:
     regen_alpha_each_iter: bool = False
     memory_capacity: int = 100_000
     strict_deadline: bool = True
-    latency_weights: bool = False
-    go_worker_order: str = "nearest"
 
 
 @dataclass(frozen=True)
@@ -124,10 +127,7 @@ def _build_section(cls, data: dict, path: str):
         if isinstance(value, list):
             value = tuple(value)
         kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value in section {path}: {exc}") from exc
+    return cls(**kwargs)
 
 
 def config_from_dict(doc: dict) -> RunConfig:
@@ -136,7 +136,7 @@ def config_from_dict(doc: dict) -> RunConfig:
     kwargs = {}
     for key, value in doc.items():
         if key == "seed":
-            kwargs["seed"] = int(value)
+            kwargs["seed"] = value
         elif key in _SECTIONS:
             if not isinstance(value, dict):
                 raise ConfigError(f"section {key} must be an object")
@@ -149,21 +149,16 @@ def config_from_dict(doc: dict) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig) -> None:
-    if cfg.solver.scheme not in SCHEMES:
-        raise ConfigError(
-            f"unknown scheme {cfg.solver.scheme!r} for key solver.scheme "
-            f"(expected one of {', '.join(SCHEMES)})")
-    if cfg.sweep.experiment is not None and cfg.sweep.experiment not in EXPERIMENTS:
-        raise ConfigError(
-            f"unknown experiment {cfg.sweep.experiment!r} for key sweep.experiment "
-            f"(expected one of {', '.join(EXPERIMENTS)})")
-    for s in cfg.sweep.schemes:
-        if s not in SCHEMES:
-            raise ConfigError(f"unknown scheme {s!r} in sweep.schemes")
-    if not 0.0 <= cfg.metrics.phi <= 1.0:
-        raise ConfigError("metrics.phi must lie in [0, 1]")
-    _validate_predictor(cfg.predictor)
-    _validate_geometry(cfg.geometry)
+    _require(_is_int(cfg.seed, 0), "seed", "an integer >= 0", cfg.seed)
+    _check_scenario(cfg.scenario)
+    _check_predictor(cfg.predictor)
+    _check_geometry(cfg.geometry, cfg.scenario)
+    _check_solver(cfg.solver)
+    _require(_is_number(cfg.metrics.phi) and 0.0 <= cfg.metrics.phi <= 1.0,
+             "metrics.phi", "a number in [0, 1]", cfg.metrics.phi)
+    _require(isinstance(cfg.metrics.assigned_only, bool), "metrics.assigned_only",
+             "true or false", cfg.metrics.assigned_only)
+    _check_sweep(cfg.sweep, cfg.scenario)
 
 
 def _is_number(value) -> bool:
@@ -171,35 +166,118 @@ def _is_number(value) -> bool:
             and math.isfinite(value))
 
 
-def _validate_predictor(p: PredictorSection) -> None:
+def _is_int(value, low: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+
+
+def _require(ok: bool, key: str, rule: str, value) -> None:
+    if not ok:
+        raise ConfigError(f"{key} must be {rule}, got {value!r}")
+
+
+_SCENARIO_POSITIVE = ("region_w", "region_h", "lane_width", "max_speed_kmh",
+                      "duration_s", "delta_s", "arc_radius_m", "turn_speed_frac",
+                      "workload_cycles", "frame_bits", "deadline_s",
+                      "worker_base_cpu_ghz", "comm_range_m")
+_SCENARIO_NON_NEGATIVE = ("spawn_window_frac", "slow_margin_m", "heading_settle_slots",
+                          "spawn_jitter_m", "worker_cpu_step_ghz")
+
+
+def _check_scenario(s: ScenarioSection) -> None:
+    for key in _SCENARIO_POSITIVE:
+        value = getattr(s, key)
+        _require(_is_number(value) and value > 0, f"scenario.{key}",
+                 "a finite number > 0", value)
+    for key in _SCENARIO_NON_NEGATIVE:
+        value = getattr(s, key)
+        _require(_is_number(value) and value >= 0, f"scenario.{key}",
+                 "a finite number >= 0", value)
+    for key, low in (("n_vehicles", 0), ("lanes_per_direction", 1), ("n_workers", 1)):
+        value = getattr(s, key)
+        _require(_is_int(value, low), f"scenario.{key}", f"an integer >= {low}", value)
+    for key in ("rate_mbps", "speed_frac"):
+        pair = getattr(s, key)
+        _require(isinstance(pair, tuple) and len(pair) == 2
+                 and all(_is_number(v) for v in pair) and 0 < pair[0] <= pair[1],
+                 f"scenario.{key}", "two finite numbers lo, hi with 0 < lo <= hi", pair)
+    probs = s.turn_probs
+    _require(isinstance(probs, tuple) and len(probs) == 3
+             and all(_is_number(p) and p >= 0 for p in probs) and sum(probs) > 0,
+             "scenario.turn_probs", "3 finite numbers >= 0, not all zero", probs)
+    # the trace has round(duration / delta) slots, and a half rounds to zero
+    _require(s.duration_s / s.delta_s > 0.5, "scenario.delta_s",
+             f"less than twice scenario.duration_s ({s.duration_s!r})", s.delta_s)
+
+
+def _check_predictor(p: PredictorSection) -> None:
     for key, length in (("p0_diag", 4), ("q_diag", 4), ("r_diag", 2)):
         diag = getattr(p, key)
-        if not (isinstance(diag, tuple) and len(diag) == length
-                and all(_is_number(v) and v >= 0 for v in diag)):
-            raise ConfigError(f"predictor.{key} must be {length} finite numbers >= 0, "
-                              f"got {diag!r}")
-    if not (_is_number(p.roi_height_m) and p.roi_height_m > 0):
-        raise ConfigError(f"predictor.roi_height_m must be > 0, got {p.roi_height_m!r}")
-    if not (_is_number(p.measurement_noise_std) and p.measurement_noise_std >= 0):
-        raise ConfigError("predictor.measurement_noise_std must be a finite number >= 0, "
-                          f"got {p.measurement_noise_std!r}")
+        _require(isinstance(diag, tuple) and len(diag) == length
+                 and all(_is_number(v) and v >= 0 for v in diag),
+                 f"predictor.{key}", f"{length} finite numbers >= 0", diag)
+    _require(_is_number(p.roi_height_m) and p.roi_height_m > 0,
+             "predictor.roi_height_m", "a finite number > 0", p.roi_height_m)
+    for key in ("measurement_noise_std", "theta_turn_deg"):
+        value = getattr(p, key)
+        _require(_is_number(value) and value >= 0, f"predictor.{key}",
+                 "a finite number >= 0", value)
     for key, low in (("warmup_slots", 1), ("coast_slots", 0)):
         value = getattr(p, key)
-        if not (isinstance(value, int) and not isinstance(value, bool) and value >= low):
-            raise ConfigError(f"predictor.{key} must be an integer >= {low}, got {value!r}")
+        _require(_is_int(value, low), f"predictor.{key}", f"an integer >= {low}", value)
 
 
-def _validate_geometry(g: GeometrySection) -> None:
+def _check_geometry(g: GeometrySection, s: ScenarioSection) -> None:
     if g.pair_mode not in ("sum", "max", "mean"):
         raise ConfigError(f"unknown pair mode {g.pair_mode!r} for key geometry.pair_mode")
     for key in ("cell_size_m", "fov_range_m"):
         value = getattr(g, key)
-        if not (_is_number(value) and value > 0):
-            raise ConfigError(f"geometry.{key} must be a finite number > 0, got {value!r}")
+        _require(_is_number(value) and value > 0, f"geometry.{key}",
+                 "a finite number > 0", value)
     # at 90 degrees the sensor triangle's base is infinitely wide
-    if not (_is_number(g.fov_half_angle_deg) and 0 < g.fov_half_angle_deg < 90):
-        raise ConfigError("geometry.fov_half_angle_deg must lie in (0, 90), "
-                          f"got {g.fov_half_angle_deg!r}")
+    _require(_is_number(g.fov_half_angle_deg) and 0 < g.fov_half_angle_deg < 90,
+             "geometry.fov_half_angle_deg", "a number in (0, 90)", g.fov_half_angle_deg)
+    try:  # the grid the pipeline builds must hold at least one cell each way
+        GridSpec.for_region(s.region_w, s.region_h, g.cell_size_m)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(
+            f"geometry.cell_size_m {g.cell_size_m!r} does not fit the "
+            f"{s.region_w!r} x {s.region_h!r} m region: {exc}") from exc
+
+
+def _check_solver(s: SolverSection) -> None:
+    if s.scheme not in SCHEMES:
+        raise ConfigError(
+            f"unknown scheme {s.scheme!r} for key solver.scheme "
+            f"(expected one of {', '.join(SCHEMES)})")
+    _require(_is_number(s.alpha) and 0 < s.alpha < 1, "solver.alpha",
+             "a number in (0, 1)", s.alpha)
+    for key, low in (("node_budget", 1), ("max_iters", 0), ("patience", 1),
+                     ("memory_capacity", 1)):
+        value = getattr(s, key)
+        _require(_is_int(value, low), f"solver.{key}", f"an integer >= {low}", value)
+    for key in ("regen_alpha_each_iter", "strict_deadline"):
+        value = getattr(s, key)
+        _require(isinstance(value, bool), f"solver.{key}", "true or false", value)
+
+
+def _check_sweep(w: SweepSection, s: ScenarioSection) -> None:
+    if w.experiment is not None and w.experiment not in EXPERIMENTS:
+        raise ConfigError(
+            f"unknown experiment {w.experiment!r} for key sweep.experiment "
+            f"(expected one of {', '.join(EXPERIMENTS)})")
+    _require(isinstance(w.schemes, tuple) and all(x in SCHEMES for x in w.schemes),
+             "sweep.schemes", f"a list of schemes from {', '.join(SCHEMES)}", w.schemes)
+    _require(isinstance(w.seeds, tuple) and all(_is_int(x, 0) for x in w.seeds),
+             "sweep.seeds", "a list of integers >= 0", w.seeds)
+    _require(isinstance(w.grid, tuple), "sweep.grid", "a list", w.grid)
+    if w.experiment is None:
+        return
+    key = EXPERIMENT_KEYS[w.experiment]
+    for value in w.grid:
+        try:
+            _check_scenario(replace(s, **{key: value}))
+        except ConfigError as exc:
+            raise ConfigError(f"sweep.grid value {value!r} for {w.experiment}: {exc}") from exc
 
 
 def config_to_dict(cfg: RunConfig) -> dict:

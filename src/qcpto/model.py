@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 TWO_PI = 2.0 * math.pi
 
@@ -175,43 +175,3 @@ class Assignment:
         body = ", ".join(f"{u}->{w}" for u, w in self.items())
         return f"Assignment({{{body}}})"
 
-
-def _positive(value, name: str, out: list[str], entity: str):
-    if not value > 0:
-        out.append(f"{entity}: {name} must be strictly positive, got {value}")
-
-
-def validate_scenario(users: Sequence[User], workers: Sequence[Worker],
-                      region: tuple[float, float],
-                      states: Sequence[VehicleState] | None = None,
-                      margin: float = 10.0) -> list[str]:
-    """Check every type invariant; returns violations instead of raising."""
-    out: list[str] = []
-    for u in users:
-        tag = f"user {u.id}"
-        _positive(u.task.workload_l, "workload_l", out, tag)
-        _positive(u.task.frame_size_lambda, "frame_size_lambda", out, tag)
-        _positive(u.task.deadline_kappa, "deadline_kappa", out, tag)
-        _positive(u.fov_range, "fov_range", out, tag)
-        if not 0.0 < u.fov_half_angle < math.pi / 2:
-            out.append(f"{tag}: fov_half_angle must be in (0, pi/2), got {u.fov_half_angle}")
-        for wid, rate in u.data_rate.items():
-            if not rate > 0:
-                out.append(f"{tag}: data_rate to worker {wid} must be strictly positive, got {rate}")
-    w_region, h_region = region
-    for w in workers:
-        tag = f"worker {w.id}"
-        _positive(w.cpu_capacity, "cpu_capacity", out, tag)
-        _positive(w.comm_range, "comm_range", out, tag)
-        x, y = w.position
-        if not (-margin <= x <= w_region + margin and -margin <= y <= h_region + margin):
-            out.append(f"{tag}: position {w.position} outside region plus {margin} m margin")
-    if states is not None:
-        for s in states:
-            tag = f"state (user {s.user_id}, slot {s.slot})"
-            if s.speed < 0:
-                out.append(f"{tag}: speed must be >= 0, got {s.speed}")
-            x, y = s.position
-            if not (-margin <= x <= w_region + margin and -margin <= y <= h_region + margin):
-                out.append(f"{tag}: position {s.position} outside region plus {margin} m margin")
-    return out

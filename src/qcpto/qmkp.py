@@ -2,10 +2,8 @@
 
 An instance holds the pairwise quality matrix, per-worker capacities, and
 optionally the latency data needed for density sorting and strict deadline
-checks. The default weight model is "count": every user weighs one unit and
-capacities are collaborator counts derived from the deadline bound. The
-alternative "latency" model weighs a user by its response time at the
-post-admission load and budgets each worker by the deadline.
+checks. Every user weighs one unit, so a capacity is the number of
+collaborators a worker may host, derived from the deadline bound.
 
 The exhaustive enumerator here is the correctness oracle for the exact
 solver: it scores every feasible assignment by brute force and never shares
@@ -24,15 +22,11 @@ from .errors import DomainError
 from .geometry import QualityMatrix
 from .model import Assignment
 
-WEIGHT_COUNT = "count"
-WEIGHT_LATENCY = "latency"
-
 
 @dataclass(frozen=True)
 class QmkpInstance:
     quality: QualityMatrix
-    capacity: tuple[float, ...]                 # per-worker capacity (count or seconds)
-    weight_mode: str = WEIGHT_COUNT
+    capacity: tuple[float, ...]                 # per-worker collaborator count
     allowed: Optional[np.ndarray] = None        # (n, m) bool, comm-range eligibility
     distance: Optional[np.ndarray] = None       # (n, m) meters, used by baselines
     compute_unit: Optional[np.ndarray] = None   # (n, m) seconds at eta=1 (l_i / C_j)
@@ -40,8 +34,6 @@ class QmkpInstance:
     kappa: Optional[np.ndarray] = None          # (n,) per-user deadline, seconds
 
     def __post_init__(self):
-        if self.weight_mode not in (WEIGHT_COUNT, WEIGHT_LATENCY):
-            raise ValueError(f"unknown weight mode {self.weight_mode!r}")
         caps = tuple(float(c) for c in self.capacity)
         if any(c < 0 for c in caps):
             raise ValueError("capacities must be >= 0")
@@ -60,8 +52,6 @@ class QmkpInstance:
                 raise ValueError("kappa must have shape (n,)")
             k.setflags(write=False)
             object.__setattr__(self, "kappa", k)
-        if self.weight_mode == WEIGHT_LATENCY and not self.has_latency:
-            raise ValueError("latency weight mode needs compute_unit and transmit")
 
     @property
     def n(self) -> int:
@@ -83,12 +73,6 @@ class QmkpInstance:
         if not self.has_latency:
             raise DomainError("instance carries no latency data")
         return float(self.compute_unit[i, j]) * eta + float(self.transmit[i, j])
-
-    def weight_of(self, i: int, j: int, eta_after: int) -> float:
-        """Knapsack weight of admitting user i to worker j (post-admission load)."""
-        if self.weight_mode == WEIGHT_COUNT:
-            return 1.0
-        return self.latency_of(i, j, eta_after)
 
 
 @dataclass(frozen=True)
@@ -131,15 +115,9 @@ def check_feasible(assignment: Assignment, inst: QmkpInstance,
             continue
         if count == 1:
             violations.append(f"worker {j} hosts a single user (needs >= 2)")
-        if inst.weight_mode == WEIGHT_COUNT and count > inst.capacity[j]:
+        if count > inst.capacity[j]:
             violations.append(
                 f"worker {j} hosts {count} users, capacity {inst.capacity[j]:g}")
-    if inst.weight_mode == WEIGHT_LATENCY:
-        for j in assignment.used_workers():
-            load = sum(inst.weight_of(i, j, eta[j]) for i in assignment.users_of(j))
-            if load > inst.capacity[j] + 1e-9:
-                violations.append(
-                    f"worker {j} load {load:.6f} exceeds budget {inst.capacity[j]:g}")
     for u, j in assignment.items():
         if u < 0 or u >= inst.n:
             violations.append(f"user {u} does not exist")
@@ -200,8 +178,6 @@ def instance_to_json(inst: QmkpInstance) -> str:
         "q": [float(v) for v in inst.quality.q[iu, ik]],
         "capacities": list(inst.capacity),
     }
-    if inst.weight_mode != WEIGHT_COUNT:
-        doc["weight_mode"] = inst.weight_mode
     if inst.allowed is not None:
         doc["allowed"] = inst.allowed.astype(int).tolist()
     return json.dumps(doc, sort_keys=True)
@@ -221,14 +197,13 @@ def instance_from_json(text: str) -> QmkpInstance:
     return QmkpInstance(
         quality=QualityMatrix(q),
         capacity=tuple(doc["capacities"]),
-        weight_mode=doc.get("weight_mode", WEIGHT_COUNT),
         allowed=allowed,
     )
 
 
 def random_instance(rng: np.random.Generator, max_n: int = 10,
                     max_m: int = 3) -> QmkpInstance:
-    """Random count-mode instance for oracle corpora."""
+    """Random instance for oracle corpora."""
     n = int(rng.integers(2, max_n + 1))
     m = int(rng.integers(1, max_m + 1))
     upper = rng.uniform(0.0, 1.0, size=(n, n))
@@ -245,8 +220,6 @@ def enumerate_optimal(inst: QmkpInstance, chunk_size: int = 1 << 16) -> Solution
     directly. The winner's objective is re-evaluated canonically so it is
     comparable bit-for-bit with other solvers.
     """
-    if inst.weight_mode != WEIGHT_COUNT:
-        raise DomainError("enumeration supports count capacities only")
     n, m = inst.n, inst.m
     q = inst.quality.q
     caps = np.asarray(inst.capacity)

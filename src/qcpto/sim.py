@@ -22,14 +22,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .baselines import solve_cpto, solve_go
-from .config import RunConfig, SCHEMES
+from .config import EXPERIMENT_KEYS, RunConfig, SCHEMES
 from .geometry import GridSpec, build_quality_matrix, fov_triangle
 from .latency import worker_capacity
 from .metrics import EpochReport, RunReport, epoch_metrics, run_aggregate
 from .model import Assignment, TaskProfile, Turn, User, VehicleState, Worker
 from .predict import PredictorConfig, coast, run_predictor
-from .qmkp import (QmkpInstance, WEIGHT_COUNT, evaluate_objective,
-                   repair_deadline)
+from .qmkp import QmkpInstance, evaluate_objective, repair_deadline
 from .solve_exact import solve_exact
 from .solve_heur import HeurConfig, solve_heuristic
 from .trace import ScenarioConfig, Trace, synth_intersection
@@ -164,9 +163,8 @@ def build_epoch(slot: int, outputs: dict, states: dict, users: dict,
             compute_unit[i, j] = users[uid].task.workload_l / w.cpu_capacity
             transmit[i, j] = users[uid].task.frame_size_lambda / users[uid].data_rate[w.id]
     inst = QmkpInstance(
-        quality=quality, capacity=caps, weight_mode=WEIGHT_COUNT,
-        allowed=allowed, distance=dist, compute_unit=compute_unit,
-        transmit=transmit, kappa=kappa,
+        quality=quality, capacity=caps, allowed=allowed, distance=dist,
+        compute_unit=compute_unit, transmit=transmit, kappa=kappa,
     )
     return EpochContext(slot, queue_ids, rois, fovs, inst)
 
@@ -327,15 +325,9 @@ class _FakeOutput:
 
 
 def _apply_experiment(cfg: RunConfig, experiment: str, value) -> RunConfig:
-    sc = cfg.scenario
-    if experiment == "CpuCapacity":
-        sc = dataclasses.replace(sc, worker_base_cpu_ghz=float(value))
-    elif experiment == "Deadline":
-        sc = dataclasses.replace(sc, deadline_s=float(value))
-    elif experiment in ("UserCount", "Runtime"):
-        sc = dataclasses.replace(sc, n_vehicles=int(value))
-    else:
+    if experiment not in EXPERIMENT_KEYS:
         raise ValueError(f"unknown experiment {experiment!r}")
+    sc = dataclasses.replace(cfg.scenario, **{EXPERIMENT_KEYS[experiment]: value})
     return dataclasses.replace(cfg, scenario=sc)
 
 

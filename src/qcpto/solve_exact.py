@@ -16,8 +16,8 @@ import time
 import numpy as np
 
 from .model import Assignment
-from .qmkp import (QmkpInstance, Solution, WEIGHT_COUNT, check_feasible,
-                   evaluate_objective, repair_min_pair)
+from .qmkp import (QmkpInstance, Solution, check_feasible, evaluate_objective,
+                   repair_min_pair)
 
 BOUND_SLACK = 1e-9
 
@@ -32,8 +32,6 @@ def solve_exact(inst: QmkpInstance, budget: int = 2_000_000) -> Solution:
     """
     if budget <= 0:
         raise ValueError(f"node budget must be positive, got {budget}")
-    if inst.weight_mode != WEIGHT_COUNT:
-        raise NotImplementedError("exact search supports count capacities only")
     start = time.perf_counter()
     n, m = inst.n, inst.m
     q = inst.quality.q

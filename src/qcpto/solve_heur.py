@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import DomainError
 from .model import Assignment
-from .qmkp import (QmkpInstance, Solution, WEIGHT_COUNT, evaluate_objective,
-                   repair_deadline, repair_min_pair)
+from .qmkp import (QmkpInstance, Solution, evaluate_objective, repair_deadline,
+                   repair_min_pair)
 
 
 @dataclass(frozen=True)
@@ -95,18 +95,13 @@ def _pack(inst: QmkpInstance, order: Sequence[int], residual: list[float],
     # first-fit over workers ranked once by the capacities given at entry
     # (largest first, ties to the lowest id); the frozen order concentrates
     # users, which is what gives co-assigned pairs their profit
-    eta = fixed.eta()
     placed = dict(fixed.items())
     ranked = sorted(range(inst.m), key=lambda j: (-residual[j], j))
     for i in order:
         for j in ranked:
-            if not inst.is_allowed(i, j):
-                continue
-            w = inst.weight_of(i, j, eta.get(j, 0) + 1)
-            if residual[j] >= w:
+            if inst.is_allowed(i, j) and residual[j] >= 1.0:
                 placed[i] = j
-                residual[j] -= w
-                eta[j] = eta.get(j, 0) + 1
+                residual[j] -= 1.0
                 break
     return Assignment(placed)
 
@@ -142,11 +137,8 @@ def fix_and_complete(s: Assignment, alpha: float, rng: random.Random,
         kept = s.drop(dropped)
     else:
         kept = s
-    if inst.weight_mode == WEIGHT_COUNT:
-        eta = kept.eta()
-        residual = [inst.capacity[j] - eta.get(j, 0) for j in range(inst.m)]
-    else:
-        residual = _latency_residuals(inst, kept)
+    eta = kept.eta()
+    residual = [inst.capacity[j] - eta.get(j, 0) for j in range(inst.m)]
     free = [u for u in range(inst.n) if kept.worker_of(u) is None]
     if shuffle:
         rng.shuffle(free)
@@ -154,28 +146,13 @@ def fix_and_complete(s: Assignment, alpha: float, rng: random.Random,
     return greedy_bin_packing(inst, free, residual, kept)
 
 
-def _latency_residuals(inst: QmkpInstance, fixed: Assignment) -> list[float]:
-    eta = fixed.eta()
-    residual = list(inst.capacity)
-    for j in fixed.used_workers():
-        load = sum(inst.weight_of(u, j, eta[j]) for u in fixed.users_of(j))
-        residual[j] -= load
-    return residual
-
-
-def _fingerprint(a: Assignment, n: int) -> tuple[int, ...]:
-    return a.key(n)
-
-
 def _descend(a: Assignment, inst: QmkpInstance) -> Assignment:
     """First-improvement descent: relocate users and swap assigned/unassigned.
 
-    Count-capacity instances only; users are scanned in id order so the
-    descent is deterministic, and every accepted move strictly increases the
-    objective, which guarantees termination.
+    Users are scanned in id order so the descent is deterministic, and every
+    accepted move strictly increases the objective, which guarantees
+    termination.
     """
-    if inst.weight_mode != WEIGHT_COUNT:
-        return a
     q = inst.quality.q
     n, m = inst.n, inst.m
     caps = [int(c) for c in inst.capacity]
@@ -236,8 +213,8 @@ def solve_heuristic(inst: QmkpInstance, cfg: HeurConfig,
     best_obj = evaluate_objective(current, q)
     trajectory = [best_obj]
 
-    seen: set[tuple[int, ...]] = {_fingerprint(current, inst.n)}
-    fifo: deque[tuple[int, ...]] = deque([_fingerprint(current, inst.n)])
+    seen: set[tuple[int, ...]] = {current.key(inst.n)}
+    fifo: deque[tuple[int, ...]] = deque([current.key(inst.n)])
     no_improve = 0
     iters = 0
     for _ in range(cfg.max_iters):
@@ -253,12 +230,12 @@ def solve_heuristic(inst: QmkpInstance, cfg: HeurConfig,
         # the fingerprint memory tracks raw completions so the walk keeps
         # exploring; on a hit, perturb again with shuffled completions
         raw = fix_and_complete(current, alpha, rng, inst)
-        fp = _fingerprint(raw, inst.n)
+        fp = raw.key(inst.n)
         for _retry in range(8):
             if fp not in seen:
                 break
             raw = fix_and_complete(current, alpha, rng, inst, shuffle=True)
-            fp = _fingerprint(raw, inst.n)
+            fp = raw.key(inst.n)
         current = raw
         improved = False
         if fp not in seen:

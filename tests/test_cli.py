@@ -190,3 +190,90 @@ def test_config_accepts_zero_process_and_measurement_noise():
     cfg = config_from_dict({"predictor": {"q_diag": [0, 0, 0, 0], "r_diag": [0, 0]}})
     assert cfg.predictor.q_diag == (0, 0, 0, 0)
     assert cfg.predictor.r_diag == (0, 0)
+
+
+def doc_with(path, value, **extra):
+    """small_config_doc with one dotted key set, e.g. ``scenario.n_workers``."""
+    doc = small_config_doc(**extra)
+    *sections, key = path.split(".")
+    body = doc
+    for name in sections:
+        body = body.setdefault(name, {})
+    body[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("key,value,experiment", [
+    ("scenario.n_workers", 0, None),
+    ("scenario.n_workers", 1.5, None),
+    ("scenario.n_vehicles", -1, None),
+    ("scenario.n_vehicles", "x", None),
+    ("scenario.deadline_s", 0.0, None),
+    ("scenario.deadline_s", float("nan"), None),
+    ("scenario.workload_cycles", 0, None),
+    ("scenario.frame_bits", -1.0, None),
+    ("scenario.comm_range_m", float("inf"), None),
+    ("scenario.worker_base_cpu_ghz", 0.0, None),
+    ("scenario.worker_cpu_step_ghz", -1.0, None),
+    ("scenario.rate_mbps", [0, 0], None),
+    ("scenario.rate_mbps", [18.0, 15.0], None),
+    ("scenario.rate_mbps", [15.0], None),
+    ("scenario.region_w", 0.0, None),
+    ("scenario.duration_s", 0.0, None),
+    ("scenario.delta_s", 0.0, None),
+    ("scenario.delta_s", 100.0, None),
+    ("scenario.max_speed_kmh", -5.0, None),
+    ("scenario.lanes_per_direction", 0, None),
+    ("scenario.turn_probs", [0, 0, 0], None),
+    ("scenario.speed_frac", [0.0, 1.0], None),
+    ("seed", "abc", None),
+    ("seed", 1.7, None),
+    ("seed", -1, None),
+    ("seed", True, None),
+    ("metrics.phi", None, None),
+    ("metrics.phi", 1.5, None),
+    ("geometry.cell_size_m", 500.0, None),
+    ("geometry.cell_size_m", 1e-320, None),
+    ("sweep.grid", ["x"], "UserCount"),
+    ("sweep.grid", [4, 7.5], "UserCount"),
+    ("sweep.grid", [0.4, 0.0], "Deadline"),
+    ("sweep.grid", [-1.0], "CpuCapacity"),
+    ("sweep.grid", 5, "UserCount"),
+])
+def test_run_bad_scenario_value_exits_1(tmp_path, capsys, key, value, experiment):
+    doc = doc_with(key, value)
+    if experiment is not None:
+        doc["sweep"]["experiment"] = experiment
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "r"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("alpha", 1.5),
+    ("alpha", 0.0),
+    ("max_iters", -1),
+    ("max_iters", 2.5),
+    ("patience", 0),
+    ("node_budget", 0),
+    ("memory_capacity", 0),
+    ("strict_deadline", "yes"),
+    ("regen_alpha_each_iter", 1),
+    ("latency_weights", True),
+    ("go_worker_order", "farthest"),
+])
+def test_run_bad_solver_value_exits_1(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path, doc_with(f"solver.{key}", value))
+    out = tmp_path / "r"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    assert f"solver.{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_negative_seed_override_exits_1(tmp_path, capsys):
+    out = tmp_path / "r"
+    assert main(["run", "--seed", "-1", "--out", str(out)]) == 1
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,0 +1,155 @@
+"""Property-based checks of the config boundary and the solvers.
+
+Random config documents must either load or raise ConfigError, and a loaded
+config must build every library object the pipeline builds from it. Random
+small instances must give feasible heuristic results and exact objectives
+equal to exhaustive enumeration. The runs are derandomized and keep no
+example database, so they repeat exactly.
+"""
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
+
+from qcpto import sim
+from qcpto.config import EXPERIMENTS, SCHEMES, RunConfig, config_from_dict, config_to_dict
+from qcpto.errors import ConfigError
+from qcpto.geometry import QualityMatrix
+from qcpto.qmkp import QmkpInstance, check_feasible, enumerate_optimal, evaluate_objective
+from qcpto.solve_exact import solve_exact
+from qcpto.solve_heur import HeurConfig, solve_heuristic
+
+# hypothesis caches the constants it reads from the code under test in its
+# home directory, ./.hypothesis by default, even without an example database;
+# set at import, the home is in place before the pytest plugin reads them
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "qcpto-hypothesis")
+
+FUZZ = settings(database=None, derandomize=True, deadline=None)
+
+DEFAULTS = config_to_dict(RunConfig())
+
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 300),
+                    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=3))
+ANY_VALUE = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=4), max_leaves=6)
+
+CHOICES = {
+    "scheme": SCHEMES + ("bogus",),
+    "pair_mode": ("sum", "max", "mean", "bogus"),
+    "experiment": EXPERIMENTS + (None, "bogus"),
+}
+
+
+def near(key, default):
+    """Values of the default's type around it, so range limits get hit."""
+    if key in CHOICES:
+        return st.sampled_from(CHOICES[key])
+    if key == "schemes":
+        return st.lists(st.sampled_from(CHOICES["scheme"]), max_size=3)
+    if isinstance(default, bool):
+        return st.booleans()
+    if isinstance(default, int):
+        return st.integers(-2, 2 * default + 2)
+    if isinstance(default, float):
+        return st.floats(-1.0, 3.0 * default + 1.0)
+    if isinstance(default, list):
+        return st.lists(st.one_of(st.integers(-1, 300), st.floats(-1.0, 20.0)),
+                        min_size=max(len(default) - 1, 0), max_size=len(default) + 1)
+    return st.just(default)
+
+
+KEYS = [(None, "seed")] + [(section, key) for section, body in DEFAULTS.items()
+                           if section != "seed" for key in body]
+
+
+@st.composite
+def config_docs(draw):
+    """Default documents with one to three keys changed, so every check is reached."""
+    doc = {}
+    for section, key in draw(st.lists(st.sampled_from(KEYS), min_size=1, max_size=3,
+                                      unique=True)):
+        default = DEFAULTS[key] if section is None else DEFAULTS[section][key]
+        value = draw(st.one_of(near(key, default), ANY_VALUE))
+        if section is None:
+            doc[key] = value
+        else:
+            doc.setdefault(section, {})[key] = value
+    if "grid" in doc.get("sweep", {}):  # a grid is only read by an experiment
+        doc["sweep"].setdefault("experiment", draw(near("experiment", None)))
+    # integers() favours its bounds, so the rare cases are picked from a list
+    rare = draw(st.sampled_from([None] * 27 + ["object", "key", "section"]))
+    if rare == "object":
+        doc[draw(st.sampled_from(sorted(DEFAULTS)))] = draw(ANY_VALUE)
+    elif rare == "key":
+        doc.setdefault("solver", {})["no_such_key"] = 1
+    elif rare == "section":
+        doc["no_such_section"] = {}
+    return doc
+
+
+@settings(FUZZ, max_examples=300)
+@given(config_docs())
+def test_config_documents_load_or_raise_config_error(doc):
+    try:
+        cfg = config_from_dict(doc)
+    except ConfigError:
+        return
+    assert config_from_dict(config_to_dict(cfg)) == cfg
+    # the library objects the pipeline builds from a loaded config keep
+    # their own guards; none of them may fire on a config that loaded
+    assert sim.scenario_config(cfg).n_slots >= 1
+    sim.predictor_config(cfg)
+    sim.grid_spec(cfg)
+    assert len(sim.default_workers(cfg, cfg.seed + 1)) == cfg.scenario.n_workers
+    HeurConfig(alpha=cfg.solver.alpha, max_iters=cfg.solver.max_iters,
+               patience=cfg.solver.patience, memory_capacity=cfg.solver.memory_capacity)
+
+
+@st.composite
+def instances(draw, max_n=8, max_m=3, latency=True):
+    n = draw(st.integers(2, max_n))
+    m = draw(st.integers(1, max_m))
+    upper = draw(st.lists(st.floats(0.0, 1.0), min_size=n * (n - 1) // 2,
+                          max_size=n * (n - 1) // 2))
+    q = np.zeros((n, n))
+    iu, ik = np.triu_indices(n, 1)
+    q[iu, ik] = upper
+    q[ik, iu] = upper
+    caps = tuple(draw(st.lists(st.integers(0, n), min_size=m, max_size=m)))
+    allowed = None
+    if draw(st.booleans()):
+        allowed = np.array(draw(st.lists(st.booleans(), min_size=n * m, max_size=n * m)),
+                           dtype=bool).reshape(n, m)
+    extra = {}
+    if latency and draw(st.booleans()):
+        def matrix(lo, hi, shape):
+            size = int(np.prod(shape))
+            return np.array(draw(st.lists(st.floats(lo, hi), min_size=size,
+                                          max_size=size))).reshape(shape)
+        extra = {"compute_unit": matrix(0.01, 0.2, (n, m)),
+                 "transmit": matrix(0.001, 0.05, (n, m)),
+                 "kappa": matrix(0.05, 0.5, (n,))}
+    return QmkpInstance(quality=QualityMatrix(q), capacity=caps, allowed=allowed, **extra)
+
+
+heur_configs = st.builds(HeurConfig, alpha=st.floats(0.05, 0.95),
+                         max_iters=st.integers(0, 80), patience=st.integers(1, 30),
+                         seed=st.integers(0, 2**16), regen_alpha_each_iter=st.booleans(),
+                         memory_capacity=st.integers(1, 50))
+
+
+@settings(FUZZ, max_examples=150)
+@given(instances(), heur_configs)
+def test_heuristic_result_is_feasible(inst, cfg):
+    strict = inst.kappa is not None
+    sol = solve_heuristic(inst, cfg, strict_deadline=strict)
+    ok, violations = check_feasible(sol.assignment, inst, strict_deadline=strict)
+    assert ok, violations
+    assert sol.objective == evaluate_objective(sol.assignment, inst.quality)
+
+
+@settings(FUZZ, max_examples=100)
+@given(instances(max_n=6, max_m=2, latency=False))
+def test_exact_matches_enumeration(inst):
+    assert solve_exact(inst).objective == enumerate_optimal(inst).objective

@@ -3,59 +3,7 @@ import random
 
 import pytest
 
-from qcpto.model import (Assignment, Roi, TaskProfile, Turn, User,
-                         VehicleState, Worker, normalize_heading,
-                         validate_scenario)
-
-
-def make_user(uid=0, **overrides):
-    task = overrides.pop("task", TaskProfile(2e8, 2e5, 0.4))
-    kwargs = dict(id=uid, task=task, data_rate={0: 15e6},
-                  fov_range=20.0, fov_half_angle=math.pi / 6)
-    kwargs.update(overrides)
-    return User(**kwargs)
-
-
-def make_worker(wid=0, **overrides):
-    kwargs = dict(id=wid, position=(0.0, 0.0), cpu_capacity=2e9, comm_range=200.0)
-    kwargs.update(overrides)
-    return Worker(**kwargs)
-
-
-REGION = (200.0, 200.0)
-
-
-def test_well_formed_scenario_has_no_violations():
-    users = [make_user(0), make_user(1)]
-    workers = [make_worker(0)]
-    assert validate_scenario(users, workers, REGION) == []
-
-
-def test_zero_deadline_is_reported_by_name():
-    users = [make_user(0, task=TaskProfile(2e8, 2e5, 0.0))]
-    violations = validate_scenario(users, [make_worker(0)], REGION)
-    assert len(violations) == 1
-    assert "deadline_kappa" in violations[0]
-
-
-def test_negative_cpu_capacity_is_reported_by_name():
-    violations = validate_scenario([make_user(0)],
-                                   [make_worker(0, cpu_capacity=-1.0)], REGION)
-    assert len(violations) == 1
-    assert "cpu_capacity" in violations[0]
-
-
-def test_bad_rate_and_fov_are_reported():
-    users = [make_user(0, data_rate={0: 0.0}, fov_half_angle=2.0)]
-    violations = validate_scenario(users, [], REGION)
-    assert any("data_rate" in v for v in violations)
-    assert any("fov_half_angle" in v for v in violations)
-
-
-def test_state_outside_region_is_reported():
-    state = VehicleState(0, (500.0, 0.0), 0.0, 5.0, 0)
-    violations = validate_scenario([], [], REGION, states=[state])
-    assert len(violations) == 1
+from qcpto.model import Assignment, Roi, Turn, VehicleState, normalize_heading
 
 
 def test_heading_normalization():

@@ -85,11 +85,6 @@ def test_instance_json_round_trip():
     assert back.capacity == inst.capacity
 
 
-def test_latency_weight_mode_requires_data():
-    with pytest.raises(ValueError):
-        QmkpInstance(quality({}, 2), capacity=(1.0,), weight_mode="latency")
-
-
 def test_latency_of_requires_data():
     inst = QmkpInstance(quality({}, 2), capacity=(1.0,))
     with pytest.raises(DomainError):

@@ -180,17 +180,3 @@ def test_heur_config_validation():
     with pytest.raises(ValueError):
         HeurConfig(max_iters=-1)
 
-
-def test_latency_weight_mode_packs_within_budget():
-    q = quality({(0, 1): 0.9, (0, 2): 0.5, (1, 2): 0.4}, 3)
-    compute = np.full((3, 1), 0.1)
-    transmit = np.full((3, 1), 0.01)
-    inst = QmkpInstance(q, capacity=(0.45,), weight_mode="latency",
-                        compute_unit=compute, transmit=transmit,
-                        kappa=np.full(3, 0.45))
-    a = greedy_bin_packing(inst)
-    # weights at post-admission load: first user 0.11, second 0.21 -> only
-    # two users fit inside the 0.45 s budget
-    assert len(a) == 2
-    ok, violations = check_feasible(a, inst)
-    assert ok, violations
