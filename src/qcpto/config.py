@@ -14,6 +14,7 @@ from typing import Optional
 
 from .errors import ConfigError
 from .geometry import GridSpec
+from .trace import ScenarioConfig, check_routes
 
 SCHEMES = ("exact", "heuristic", "go", "cpto")
 # the scenario key each sweep experiment sets to its grid values
@@ -207,6 +208,16 @@ def _check_scenario(s: ScenarioSection) -> None:
     # the trace has round(duration / delta) slots, and a half rounds to zero
     _require(s.duration_s / s.delta_s > 0.5, "scenario.delta_s",
              f"less than twice scenario.duration_s ({s.duration_s!r})", s.delta_s)
+    try:  # every turn's arc must fit between the region boundary and its lane
+        check_routes(ScenarioConfig(
+            region_w=s.region_w, region_h=s.region_h,
+            lanes_per_direction=s.lanes_per_direction, lane_width=s.lane_width,
+            arc_radius=s.arc_radius_m))
+    except ConfigError as exc:
+        raise ConfigError(
+            f"scenario.arc_radius_m {s.arc_radius_m!r} with {s.lanes_per_direction} "
+            f"lanes of {s.lane_width!r} m does not fit the {s.region_w!r} x "
+            f"{s.region_h!r} m region: {exc}") from exc
 
 
 def _check_predictor(p: PredictorSection) -> None:

@@ -9,8 +9,11 @@ with a deterministic relocate/swap descent, keeps the best solution seen,
 and resets the incumbent to the best with probability one half. A bounded
 fingerprint memory prevents re-visiting configurations: hits trigger
 shuffled re-completions, and sustained stagnation widens the drop fraction.
-The returned solution passes a min-pair repair (and optionally a strict
-deadline repair) so it is always feasible.
+The search stops after ``patience`` iterations without improvement, or as
+soon as the best solution realizes every pair: no assignment can score more
+than all users on one worker, so that sum is a ceiling the search can reach
+but never pass. The returned solution passes a min-pair repair (and
+optionally a strict deadline repair) so it is always feasible.
 """
 from __future__ import annotations
 
@@ -34,6 +37,8 @@ class HeurConfig:
     alpha: float = 0.3            # fraction of assigned users dropped per perturbation
     max_iters: int = 500
     patience: int = 100           # iterations without improvement before stopping
+                                  # (the search also stops once the best solution
+                                  # realizes every pair)
     seed: int = 0
     regen_alpha_each_iter: bool = False
     memory_capacity: int = 100_000
@@ -212,12 +217,18 @@ def solve_heuristic(inst: QmkpInstance, cfg: HeurConfig,
     best = current
     best_obj = evaluate_objective(current, q)
     trajectory = [best_obj]
+    # every pair summed in the canonical order: with q >= 0 and rounding
+    # monotone, any assignment sums a subsequence of these terms and cannot
+    # exceed this value, so reaching it proves the best is maximal
+    ceiling = evaluate_objective(Assignment({u: 0 for u in range(inst.n)}), q)
 
     seen: set[tuple[int, ...]] = {current.key(inst.n)}
     fifo: deque[tuple[int, ...]] = deque([current.key(inst.n)])
     no_improve = 0
     iters = 0
     for _ in range(cfg.max_iters):
+        if best_obj >= ceiling:
+            break
         iters += 1
         if cfg.regen_alpha_each_iter:
             alpha = rng.random()

@@ -334,6 +334,19 @@ def _build_path(approach: int, lane: int, intent: str, cfg: ScenarioConfig) -> _
                  arc_center, arc_start, ccw)
 
 
+def check_routes(cfg: ScenarioConfig) -> None:
+    """Build the turning routes at the extreme lanes of every approach.
+
+    Raises ConfigError when an arc does not fit between the region boundary
+    and its lane. The approach length is linear in the lane offset, so the
+    innermost and outermost lanes bound every route the synthesizer draws.
+    """
+    for approach in range(len(_APPROACH_DIRS)):
+        for lane in {0, cfg.lanes_per_direction - 1}:
+            for intent in ("left", "right"):
+                _build_path(approach, lane, intent, cfg)
+
+
 def _speed_profile(path: _Path, cruise: float, cfg: ScenarioConfig,
                    turning: bool) -> list[tuple[float, float]]:
     """(segment end distance, speed) pairs; vehicles slow through the arc."""

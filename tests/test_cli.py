@@ -239,6 +239,7 @@ def doc_with(path, value, **extra):
     ("sweep.grid", [0.4, 0.0], "Deadline"),
     ("sweep.grid", [-1.0], "CpuCapacity"),
     ("sweep.grid", 5, "UserCount"),
+    ("scenario.arc_radius_m", 150.0, None),
 ])
 def test_run_bad_scenario_value_exits_1(tmp_path, capsys, key, value, experiment):
     doc = doc_with(key, value)

@@ -3,8 +3,9 @@
 Random config documents must either load or raise ConfigError, and a loaded
 config must build every library object the pipeline builds from it. Random
 small instances must give feasible heuristic results and exact objectives
-equal to exhaustive enumeration. The runs are derandomized and keep no
-example database, so they repeat exactly.
+equal to exhaustive enumeration, and no assignment may score above the
+all-on-one-worker sum at which the heuristic stops searching. The runs are
+derandomized and keep no example database, so they repeat exactly.
 """
 import tempfile
 from pathlib import Path
@@ -17,6 +18,7 @@ from qcpto import sim
 from qcpto.config import EXPERIMENTS, SCHEMES, RunConfig, config_from_dict, config_to_dict
 from qcpto.errors import ConfigError
 from qcpto.geometry import QualityMatrix
+from qcpto.model import Assignment
 from qcpto.qmkp import QmkpInstance, check_feasible, enumerate_optimal, evaluate_objective
 from qcpto.solve_exact import solve_exact
 from qcpto.solve_heur import HeurConfig, solve_heuristic
@@ -153,3 +155,30 @@ def test_heuristic_result_is_feasible(inst, cfg):
 @given(instances(max_n=6, max_m=2, latency=False))
 def test_exact_matches_enumeration(inst):
     assert solve_exact(inst).objective == enumerate_optimal(inst).objective
+
+
+# mixed magnitudes make the rounding of each partial sum matter
+magnitudes = st.builds(lambda mant, exp: mant * 10.0 ** exp,
+                       st.floats(1.0, 2.0), st.integers(-17, 0))
+
+
+@st.composite
+def scored_assignments(draw, max_n=10):
+    n = draw(st.integers(1, max_n))
+    upper = draw(st.lists(st.one_of(st.just(0.0), magnitudes),
+                          min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    q = np.zeros((n, n))
+    iu, ik = np.triu_indices(n, 1)
+    q[iu, ik] = upper
+    q[ik, iu] = upper
+    workers = draw(st.lists(st.one_of(st.none(), st.integers(0, 3)), min_size=n,
+                            max_size=n))
+    return QualityMatrix(q), Assignment(dict(enumerate(workers)))
+
+
+@settings(FUZZ, max_examples=200)
+@given(scored_assignments())
+def test_no_assignment_scores_above_all_on_one_worker(case):
+    quality, assignment = case
+    ceiling = evaluate_objective(Assignment({u: 0 for u in range(quality.n)}), quality)
+    assert evaluate_objective(assignment, quality) <= ceiling

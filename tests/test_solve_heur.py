@@ -1,3 +1,5 @@
+import hashlib
+import math
 import random
 
 import numpy as np
@@ -7,7 +9,7 @@ from qcpto.errors import DomainError
 from qcpto.geometry import QualityMatrix
 from qcpto.model import Assignment
 from qcpto.qmkp import (QmkpInstance, check_feasible, enumerate_optimal,
-                        random_instance, repair_min_pair)
+                        evaluate_objective, random_instance, repair_min_pair)
 from qcpto.solve_exact import solve_exact
 from qcpto.solve_heur import (HeurConfig, contribution, density,
                               fix_and_complete, greedy_bin_packing,
@@ -170,6 +172,74 @@ def test_heuristic_gap_small_on_random_corpus():
         gaps.append((opt - heur) / opt if opt > 0 else 0.0)
     assert np.mean(gaps) <= 0.05
     assert max(gaps) <= 0.15
+
+
+def all_on_one(inst):
+    return evaluate_objective(Assignment({u: 0 for u in range(inst.n)}), inst.quality)
+
+
+def test_heuristic_stops_at_once_for_a_single_user():
+    inst = QmkpInstance(quality({}, 1), capacity=(2.0,))
+    sol = solve_heuristic(inst, HeurConfig(seed=0))
+    assert sol.iterations == 0
+    assert sol.objective == all_on_one(inst) == 0.0
+
+
+def test_heuristic_stops_at_once_when_one_worker_holds_the_queue():
+    rng = np.random.default_rng(53)
+    for s in range(10):
+        n = int(rng.integers(2, 9))
+        upper = np.triu(rng.uniform(0.0, 1.0, size=(n, n)), 1)
+        caps = (float(rng.integers(0, n + 1)), float(n), float(rng.integers(0, n + 1)))
+        inst = QmkpInstance(QualityMatrix(upper + upper.T), capacity=caps,
+                            allowed=np.ones((n, 3), dtype=bool))
+        sol = solve_heuristic(inst, HeurConfig(seed=s))
+        assert sol.iterations == 0
+        assert sol.trajectory == (sol.objective,)
+        assert sol.objective == all_on_one(inst)
+
+
+def test_heuristic_searches_on_when_the_ceiling_is_out_of_reach():
+    inst = QmkpInstance(
+        quality({(0, 1): 0.8, (0, 2): 0.3, (1, 2): 0.1}, 3), capacity=(2.0,))
+    cfg = HeurConfig(seed=0)
+    sol = solve_heuristic(inst, cfg)
+    assert sol.objective == pytest.approx(0.8) and sol.objective < all_on_one(inst)
+    assert sol.iterations >= cfg.patience
+
+
+def test_heuristic_stops_only_at_the_exact_all_pairs_sum():
+    # 1 + t rounds up by one ulp, so realizing the two tiny pairs lifts the
+    # total from 2.0 to the next float; a ceiling one ulp low would accept
+    # the non-maximal 2.0 that the search passes through on some seeds
+    t = 1.2e-16
+    inst = QmkpInstance(
+        quality({(0, 1): 1.0, (0, 2): t, (1, 2): t, (3, 4): 1.0}, 5),
+        capacity=(3.0, 2.0))
+    ceiling = all_on_one(inst)
+    assert ceiling == math.nextafter(2.0, 3.0)
+    for s in range(10):
+        sol = solve_heuristic(inst, HeurConfig(seed=s))
+        assert sol.objective == ceiling
+        # the search ends at the first iteration whose best reaches it
+        assert sol.trajectory.index(ceiling) == sol.iterations
+
+
+# sha256 of (assignment.key(n), repr(objective)) over the corpus below,
+# recorded before the search stopped at the all-pairs ceiling: the stop skips
+# only iterations that cannot change the result, so the digest must hold
+HEUR_CORPUS_DIGEST = "21731485abe1600f8ac53dd7fe6bd0457aa33d832a14b062eacbff2048b998a7"
+
+
+def test_heuristic_outputs_match_the_pinned_digest():
+    h = hashlib.sha256()
+    for corpus_seed in range(4):
+        rng = np.random.default_rng(corpus_seed)
+        for s in range(25):
+            inst = random_instance(rng)
+            sol = solve_heuristic(inst, HeurConfig(seed=s))
+            h.update(repr((sol.assignment.key(inst.n), repr(sol.objective))).encode())
+    assert h.hexdigest() == HEUR_CORPUS_DIGEST
 
 
 def test_heur_config_validation():

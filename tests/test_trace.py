@@ -4,7 +4,7 @@ import pytest
 
 from qcpto.errors import ConfigError, InvariantError, ParseError
 from qcpto.model import VehicleState
-from qcpto.trace import (CSV_HEADER, ScenarioConfig, SlotRecord, Trace,
+from qcpto.trace import (CSV_HEADER, ScenarioConfig, SlotRecord, Trace, check_routes,
                          load_trace, save_trace, synth_intersection)
 
 
@@ -141,3 +141,26 @@ def test_scenario_config_rejects_bad_values():
         ScenarioConfig(region_w=-5.0)
     with pytest.raises(ConfigError):
         ScenarioConfig(duration=0.0)
+
+
+@pytest.mark.parametrize("region,lanes,radius,fits", [
+    (200.0, 2, 94.75, True),    # the outer right turn's approach is exactly 0 m
+    (200.0, 2, 94.76, False),
+    (200.0, 1, 98.25, True),
+    (200.0, 1, 98.26, False),
+    (60.0, 3, 21.25, True),
+    (60.0, 3, 21.5, False),
+])
+def test_check_routes_accepts_exactly_the_radii_synth_can_build(region, lanes, radius,
+                                                                fits):
+    cfg = ScenarioConfig(region_w=region, region_h=region, lanes_per_direction=lanes,
+                         arc_radius=radius, n_vehicles=40)
+    if fits:
+        check_routes(cfg)
+        for seed in range(3):
+            synth_intersection(cfg, seed)
+    else:
+        with pytest.raises(ConfigError):
+            check_routes(cfg)
+        with pytest.raises(ConfigError):
+            synth_intersection(cfg, 0)
