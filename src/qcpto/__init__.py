@@ -15,8 +15,8 @@ from .qmkp import (QmkpInstance, Solution, check_feasible, enumerate_optimal,
                    evaluate_objective, instance_from_json, instance_to_json,
                    random_instance, repair_deadline, repair_min_pair)
 from .solve_exact import solve_exact
-from .solve_heur import (HeurConfig, contribution, density, fix_and_complete,
-                         greedy_bin_packing, solve_heuristic)
+from .solve_heur import (HeurConfig, fix_and_complete, greedy_bin_packing,
+                         solve_heuristic)
 from .trace import (ScenarioConfig, Trace, load_trace, save_trace,
                     synth_intersection)
 

@@ -6,43 +6,36 @@ carries user-worker distances when nearest-first selection is wanted.
 """
 from __future__ import annotations
 
+from typing import Callable
+
 from .model import Assignment
 from .qmkp import QmkpInstance
 
 
-def _distance(inst: QmkpInstance, i: int, j: int) -> float:
-    if inst.distance is None:
-        return 0.0
-    return float(inst.distance[i, j])
+def _fill(inst: QmkpInstance, rank: Callable[[int, int, list[int]], tuple]) -> Assignment:
+    """Users in id order, each onto the lowest-ranked eligible worker with room.
+
+    ``rank(u, j, counts)`` orders worker j for user u given the per-worker
+    counts placed so far.
+    """
+    caps = [int(c) for c in inst.capacity]
+    counts = [0] * inst.m
+    x = [-1] * inst.n
+    for u in range(inst.n):
+        cands = [j for j in range(inst.m)
+                 if counts[j] < caps[j] and inst.is_allowed(u, j)]
+        if cands:
+            x[u] = min(cands, key=lambda j: rank(u, j, counts))
+            counts[x[u]] += 1
+    return Assignment.from_key(x)
 
 
 def solve_go(inst: QmkpInstance) -> Assignment:
     """Greedy offloading: users in id order onto the nearest eligible worker."""
-    caps = [int(c) for c in inst.capacity]
-    counts = [0] * inst.m
-    placed: dict[int, int] = {}
-    for u in range(inst.n):
-        cands = [j for j in range(inst.m)
-                 if counts[j] < caps[j] and inst.is_allowed(u, j)]
-        if not cands:
-            continue
-        j = min(cands, key=lambda j: (_distance(inst, u, j), j))
-        placed[u] = j
-        counts[j] += 1
-    return Assignment(placed)
+    dist = inst.distance
+    return _fill(inst, lambda u, j, counts: (0.0 if dist is None else float(dist[u, j]), j))
 
 
 def solve_cpto(inst: QmkpInstance) -> Assignment:
     """Uniform offloading: maximize served count by least-loaded spreading."""
-    caps = [int(c) for c in inst.capacity]
-    counts = [0] * inst.m
-    placed: dict[int, int] = {}
-    for u in range(inst.n):
-        cands = [j for j in range(inst.m)
-                 if counts[j] < caps[j] and inst.is_allowed(u, j)]
-        if not cands:
-            continue
-        j = min(cands, key=lambda j: (counts[j], j))
-        placed[u] = j
-        counts[j] += 1
-    return Assignment(placed)
+    return _fill(inst, lambda u, j, counts: (counts[j], j))

@@ -85,9 +85,9 @@ def cmd_oracle(n: int, m: int, count: int, seed: int, out_dir: str) -> int:
     bounds; any exact-vs-enumeration objective mismatch is reported with the
     instance JSON and a nonzero exit.
     """
-    if n > 12 or m > 3:
-        print("oracle bounds: n <= 12 and m <= 3 keep enumeration tractable",
-              file=sys.stderr)
+    if not (2 <= n <= 12 and 1 <= m <= 3 and count >= 0):
+        print("oracle bounds: 2 <= n <= 12, 1 <= m <= 3 and count >= 0 "
+              "(the upper bounds keep enumeration tractable)", file=sys.stderr)
         return 1
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -80,7 +80,6 @@ class SolverSection:
     max_iters: int = 500
     patience: int = 100
     regen_alpha_each_iter: bool = False
-    memory_capacity: int = 100_000
     strict_deadline: bool = True
 
 
@@ -262,8 +261,7 @@ def _check_solver(s: SolverSection) -> None:
             f"(expected one of {', '.join(SCHEMES)})")
     _require(_is_number(s.alpha) and 0 < s.alpha < 1, "solver.alpha",
              "a number in (0, 1)", s.alpha)
-    for key, low in (("node_budget", 1), ("max_iters", 0), ("patience", 1),
-                     ("memory_capacity", 1)):
+    for key, low in (("node_budget", 1), ("max_iters", 0), ("patience", 1)):
         value = getattr(s, key)
         _require(_is_int(value, low), f"solver.{key}", f"an integer >= {low}", value)
     for key in ("regen_alpha_each_iter", "strict_deadline"):

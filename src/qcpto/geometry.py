@@ -281,12 +281,3 @@ def build_quality_matrix(flagged_users: Sequence[int], rois: Mapping, fovs: Mapp
     """
     return QualityMatrix(EpochRasters(flagged_users, rois, fovs, grid_spec).quality(mode))
 
-
-def write_pgm(grid: OccupancyGrid, path) -> None:
-    """Debug dump of an occupancy grid as a binary PGM (P5) image."""
-    img = np.where(grid.bits, 255, 0).astype(np.uint8)
-    header = f"P5\n{grid.spec.width} {grid.spec.height}\n255\n".encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        # top image row = highest y row of the grid
-        fh.write(img[::-1].tobytes())

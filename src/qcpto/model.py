@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 TWO_PI = 2.0 * math.pi
 
@@ -104,8 +104,9 @@ class Roi:
 class Assignment:
     """User -> worker decision map; each user served by at most one worker.
 
-    Immutable: updates return new objects. Unassigned users are simply
-    absent from the map.
+    Immutable. Unassigned users are simply absent from the map. Solvers work
+    on the equivalent worker vector (:meth:`key`) and build an assignment
+    only to score or return it.
     """
 
     __slots__ = ("_map",)
@@ -123,6 +124,11 @@ class Assignment:
     def empty(cls) -> "Assignment":
         return cls()
 
+    @classmethod
+    def from_key(cls, key: Sequence[int]) -> "Assignment":
+        """Inverse of :meth:`key`: user u goes to ``key[u]``, -1 leaves it out."""
+        return cls({u: w for u, w in enumerate(key) if w >= 0})
+
     def worker_of(self, user: int) -> Optional[int]:
         return self._map.get(user)
 
@@ -131,9 +137,6 @@ class Assignment:
 
     def users_of(self, worker: int) -> tuple[int, ...]:
         return tuple(sorted(u for u, w in self._map.items() if w == worker))
-
-    def used_workers(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self._map.values())))
 
     def eta(self) -> dict[int, int]:
         """Per-worker collaborator counts, recomputed from the map."""
@@ -144,15 +147,6 @@ class Assignment:
 
     def items(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self._map.items()))
-
-    def assign(self, user: int, worker: int) -> "Assignment":
-        m = dict(self._map)
-        m[int(user)] = int(worker)
-        return Assignment(m)
-
-    def drop(self, users: Iterable[int]) -> "Assignment":
-        gone = set(users)
-        return Assignment({u: w for u, w in self._map.items() if u not in gone})
 
     def key(self, n: int) -> tuple[int, ...]:
         """Canonical id-order vector for lexicographic comparisons.

@@ -82,7 +82,6 @@ class Solution:
     feasible: bool
     nodes: int = 0
     iterations: int = 0
-    wall_time_s: float = 0.0
     budget_exceeded: bool = False
     trajectory: tuple[float, ...] = ()  # best-so-far objective per iteration
 
@@ -134,37 +133,39 @@ def check_feasible(assignment: Assignment, inst: QmkpInstance,
 
 def repair_min_pair(assignment: Assignment) -> Assignment:
     """Evict users that sit alone on a worker."""
-    lone = [u for j, count in assignment.eta().items() if count == 1
-            for u in assignment.users_of(j)]
-    return assignment.drop(lone) if lone else assignment
-
-
-def _contribution_within(assignment: Assignment, i: int, quality: np.ndarray) -> float:
-    j = assignment.worker_of(i)
-    return sum(float(quality[i, k]) for k in assignment.users_of(j) if k != i)
+    eta = assignment.eta()
+    if 1 not in eta.values():
+        return assignment
+    return Assignment({u: j for u, j in assignment.items() if eta[j] != 1})
 
 
 def repair_deadline(assignment: Assignment, inst: QmkpInstance,
                     enforce_min_pair: bool = True) -> Assignment:
     """Evict lowest-contribution users until every response time meets its deadline.
 
-    Evictions can leave singletons, so schemes bound by the two-user minimum
-    finish with a min-pair pass; baselines that ignore that constraint pass
-    ``enforce_min_pair=False``.
+    A user's contribution is its quality toward its co-members, summed in id
+    order. Evictions can leave singletons, so schemes bound by the two-user
+    minimum finish with a min-pair pass; baselines that ignore that
+    constraint pass ``enforce_min_pair=False``.
     """
     if not inst.has_latency or inst.kappa is None:
         return repair_min_pair(assignment) if enforce_min_pair else assignment
     q = inst.quality.q
     current = assignment
     while True:
+        placed = current.items()
         eta = current.eta()
-        offenders = [u for u, j in current.items()
+        offenders = [u for u, j in placed
                      if inst.latency_of(u, j, eta[j]) > float(inst.kappa[u]) + 1e-12]
         if not offenders:
             break
-        victim = min(offenders,
-                     key=lambda u: (_contribution_within(current, u, q), u))
-        current = current.drop([victim])
+
+        def contribution(u: int) -> float:
+            j = current.worker_of(u)
+            return sum(float(q[u, k]) for k, w in placed if w == j and k != u)
+
+        victim = min(offenders, key=lambda u: (contribution(u), u))
+        current = Assignment({u: j for u, j in placed if u != victim})
     return repair_min_pair(current) if enforce_min_pair else current
 
 

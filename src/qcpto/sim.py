@@ -187,8 +187,7 @@ def solve_epoch(ctx: EpochContext, scheme: str, cfg: RunConfig,
     elif scheme == "heuristic":
         heur = HeurConfig(alpha=sol_cfg.alpha, max_iters=sol_cfg.max_iters,
                           patience=sol_cfg.patience, seed=seed,
-                          regen_alpha_each_iter=sol_cfg.regen_alpha_each_iter,
-                          memory_capacity=sol_cfg.memory_capacity)
+                          regen_alpha_each_iter=sol_cfg.regen_alpha_each_iter)
         a = solve_heuristic(inst, heur).assignment
     elif scheme == "go":
         a = solve_go(inst)

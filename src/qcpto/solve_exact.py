@@ -11,8 +11,6 @@ contributing nothing stay out of the system.
 """
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from .model import Assignment
@@ -32,7 +30,6 @@ def solve_exact(inst: QmkpInstance, budget: int = 2_000_000) -> Solution:
     """
     if budget <= 0:
         raise ValueError(f"node budget must be positive, got {budget}")
-    start = time.perf_counter()
     n, m = inst.n, inst.m
     q = inst.quality.q
     caps = [int(c) for c in inst.capacity]
@@ -49,7 +46,7 @@ def solve_exact(inst: QmkpInstance, budget: int = 2_000_000) -> Solution:
         suffix[t] = suffix[t + 1] + float(opt_gain[order[t]])
 
     from .solve_heur import greedy_bin_packing  # incumbent warm start
-    warm = repair_min_pair(greedy_bin_packing(inst))
+    warm = repair_min_pair(Assignment.from_key(greedy_bin_packing(inst)))
     best_assignment = warm
     best_obj = evaluate_objective(warm, q)
     best_key = warm.key(n)
@@ -57,9 +54,10 @@ def solve_exact(inst: QmkpInstance, budget: int = 2_000_000) -> Solution:
     if best_obj <= 0.0 and empty_key < best_key:
         best_assignment, best_obj, best_key = Assignment.empty(), 0.0, empty_key
 
+    x = [-1] * n  # the worker vector of the current node
     counts = [0] * m
+    # per-worker co-residents in placement order, the order gains are summed in
     members: list[list[int]] = [[] for _ in range(m)]
-    choice: dict[int, int] = {}
     state = {"nodes": 0, "exceeded": False}
 
     def consider_leaf(obj_inc: float) -> None:
@@ -68,9 +66,9 @@ def solve_exact(inst: QmkpInstance, budget: int = 2_000_000) -> Solution:
             return
         if obj_inc < best_obj - BOUND_SLACK:
             return
-        cand = Assignment(choice)
+        cand = Assignment.from_key(x)
         val = evaluate_objective(cand, q)
-        key = cand.key(n)
+        key = tuple(x)
         if val > best_obj or (val == best_obj and key < best_key):
             best_assignment, best_obj, best_key = cand, val, key
 
@@ -96,9 +94,9 @@ def solve_exact(inst: QmkpInstance, budget: int = 2_000_000) -> Solution:
         for gain, j in options:
             counts[j] += 1
             members[j].append(u)
-            choice[u] = j
+            x[u] = j
             dfs(t + 1, obj + gain)
-            del choice[u]
+            x[u] = -1
             members[j].pop()
             counts[j] -= 1
             if state["exceeded"]:
@@ -113,6 +111,5 @@ def solve_exact(inst: QmkpInstance, budget: int = 2_000_000) -> Solution:
         objective=best_obj,
         feasible=feasible,
         nodes=state["nodes"],
-        wall_time_s=time.perf_counter() - start,
         budget_exceeded=state["exceeded"],
     )

@@ -101,6 +101,20 @@ def test_oracle_rejects_intractable_bounds(tmp_path):
                  "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["--n", "1"],
+    ["--n", "0"],
+    ["--m", "0"],
+    ["--m", "-2"],
+    ["--count", "-1"],
+])
+def test_oracle_rejects_sizes_below_the_minimum(tmp_path, capsys, args):
+    out = tmp_path / "oracle"
+    assert main(["oracle", *args, "--out", str(out)]) == 1
+    assert "oracle bounds" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def sweep_config_doc():
     return {
         "seed": 0,
@@ -259,7 +273,7 @@ def test_run_bad_scenario_value_exits_1(tmp_path, capsys, key, value, experiment
     ("max_iters", 2.5),
     ("patience", 0),
     ("node_budget", 0),
-    ("memory_capacity", 0),
+    ("memory_capacity", 0),  # a removed key, rejected as unknown
     ("strict_deadline", "yes"),
     ("regen_alpha_each_iter", 1),
     ("latency_weights", True),

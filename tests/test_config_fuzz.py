@@ -19,7 +19,8 @@ from qcpto.config import EXPERIMENTS, SCHEMES, RunConfig, config_from_dict, conf
 from qcpto.errors import ConfigError
 from qcpto.geometry import QualityMatrix
 from qcpto.model import Assignment
-from qcpto.qmkp import QmkpInstance, check_feasible, enumerate_optimal, evaluate_objective
+from qcpto.qmkp import (QmkpInstance, check_feasible, enumerate_optimal, evaluate_objective,
+                        repair_deadline)
 from qcpto.solve_exact import solve_exact
 from qcpto.solve_heur import HeurConfig, solve_heuristic
 
@@ -105,7 +106,7 @@ def test_config_documents_load_or_raise_config_error(doc):
     sim.grid_spec(cfg)
     assert len(sim.default_workers(cfg, cfg.seed + 1)) == cfg.scenario.n_workers
     HeurConfig(alpha=cfg.solver.alpha, max_iters=cfg.solver.max_iters,
-               patience=cfg.solver.patience, memory_capacity=cfg.solver.memory_capacity)
+               patience=cfg.solver.patience)
 
 
 @st.composite
@@ -137,18 +138,21 @@ def instances(draw, max_n=8, max_m=3, latency=True):
 
 heur_configs = st.builds(HeurConfig, alpha=st.floats(0.05, 0.95),
                          max_iters=st.integers(0, 80), patience=st.integers(1, 30),
-                         seed=st.integers(0, 2**16), regen_alpha_each_iter=st.booleans(),
-                         memory_capacity=st.integers(1, 50))
+                         seed=st.integers(0, 2**16), regen_alpha_each_iter=st.booleans())
 
 
 @settings(FUZZ, max_examples=150)
 @given(instances(), heur_configs)
 def test_heuristic_result_is_feasible(inst, cfg):
-    strict = inst.kappa is not None
-    sol = solve_heuristic(inst, cfg, strict_deadline=strict)
-    ok, violations = check_feasible(sol.assignment, inst, strict_deadline=strict)
-    assert ok, violations
+    sol = solve_heuristic(inst, cfg)
     assert sol.objective == evaluate_objective(sol.assignment, inst.quality)
+    ok, violations = check_feasible(sol.assignment, inst)
+    assert ok, violations
+    # with deadlines, the repair the simulator applies keeps the result feasible
+    strict = inst.kappa is not None
+    final = repair_deadline(sol.assignment, inst, enforce_min_pair=True)
+    ok, violations = check_feasible(final, inst, strict_deadline=strict)
+    assert ok, violations
 
 
 @settings(FUZZ, max_examples=100)

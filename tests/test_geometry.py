@@ -7,7 +7,7 @@ import pytest
 from qcpto.errors import EmptyRoi
 from qcpto.geometry import (GridSpec, QualityMatrix, build_quality_matrix,
                             detected_awareness, fov_triangle,
-                            rasterize_triangle, shared_interest, write_pgm)
+                            rasterize_triangle, shared_interest)
 from qcpto.model import Roi, Turn, VehicleState
 
 from oracles import (awareness_oracle, raster_cells, shared_interest_oracle)
@@ -211,12 +211,3 @@ def test_quality_matrix_validation():
     with pytest.raises(ValueError):
         QualityMatrix(np.array([[1.0]]))  # nonzero diagonal
 
-
-def test_pgm_dump(tmp_path):
-    grid = rasterize_triangle(((0.0, 0.0), (10.0, 0.0), (0.0, 10.0)), GRID12)
-    path = tmp_path / "grid.pgm"
-    write_pgm(grid, path)
-    data = path.read_bytes()
-    assert data.startswith(b"P5\n12 12\n255\n")
-    assert len(data) == len(b"P5\n12 12\n255\n") + 12 * 12
-    assert data[-1 - 0] in (0, 255)

@@ -19,24 +19,27 @@ def test_roi_straight_is_empty():
 
 
 def test_assignment_single_worker_per_user():
-    a = Assignment({0: 1}).assign(0, 2)
-    assert a.worker_of(0) == 2
-    assert len(a) == 1
+    # a worker vector holds one entry per user
+    a = Assignment.from_key([2, -1, 0])
+    assert a.worker_of(0) == 2 and a.worker_of(1) is None
+    assert len(a) == 2
+    assert a.key(3) == (2, -1, 0)
 
 
 def test_assignment_eta_matches_incremental_count():
     rng = random.Random(7)
     for _ in range(100):
-        a = Assignment.empty()
+        x = [-1] * 8
         counts = {}
         for _ in range(rng.randrange(20)):
             u, w = rng.randrange(8), rng.randrange(3)
-            prev = a.worker_of(u)
-            if prev is not None:
-                counts[prev] -= 1
-            a = a.assign(u, w)
+            if x[u] >= 0:
+                counts[x[u]] -= 1
+            x[u] = w
             counts[w] = counts.get(w, 0) + 1
+        a = Assignment.from_key(x)
         assert a.eta() == {w: c for w, c in counts.items() if c > 0}
+        assert Assignment.from_key(a.key(8)) == a
 
 
 def test_assignment_key_prefers_unassigned_encoding():
@@ -46,7 +49,9 @@ def test_assignment_key_prefers_unassigned_encoding():
 
 
 def test_assignment_drop_and_users_of():
-    a = Assignment({0: 1, 2: 1, 3: 0})
+    x = [1, -1, 1, 0]
+    a = Assignment.from_key(x)
     assert a.users_of(1) == (0, 2)
-    assert a.drop([0]).users_of(1) == (2,)
-    assert a.used_workers() == (0, 1)
+    assert sorted(a.eta()) == [0, 1]
+    x[0] = -1  # dropping a user is a -1 in its entry
+    assert Assignment.from_key(x).users_of(1) == (2,)

@@ -1,0 +1,79 @@
+"""Seeded solver outputs, pinned by digest.
+
+Each digest is the sha256 of one row per solve: the assignment vector, the
+objective's repr and the search counters. Any change to a solver's search
+order, to the order of a float sum or to the work a search does changes the
+digest. The synthetic queues carry latency data, so they pin the density
+order that divides contribution by response time; the random corpora carry
+none and pin the plain-contribution order. The digests were recorded before
+the solvers moved to one worker-vector state, whose sums keep every term and
+its order.
+"""
+import hashlib
+
+import numpy as np
+import pytest
+
+from qcpto.baselines import solve_cpto, solve_go
+from qcpto.qmkp import evaluate_objective, random_instance
+from qcpto.sim import make_synthetic_instance
+from qcpto.solve_exact import solve_exact
+from qcpto.solve_heur import HeurConfig, solve_heuristic
+
+EXACT_BUDGET = 3000
+
+DIGESTS = {
+    "exact": "6e126a8d171feca1d2cecc7f53dab2abcf2092c58b833a291ebf561dab46127f",
+    "heuristic": "e8c4ef7cb5311c50015375d2530ddbabcc06ee38fd7dd35cd37fa6bfacd840ab",
+    "go": "010aae0b4c66cfbb78168af3fc7f953e15e5ace7589e8235b594594116b18834",
+    "cpto": "f8c4f4b26fa405b8072c4f66d60071615b48237e8aeca88d3bef346d8be23822",
+}
+
+
+@pytest.fixture(scope="module")
+def synthetic():
+    return [make_synthetic_instance(n, seed) for n in (3, 6, 10, 16, 24) for seed in (0, 1)]
+
+
+def row(sol, n):
+    return repr((sol.assignment.key(n), repr(sol.objective), sol.nodes, sol.iterations,
+                 sol.budget_exceeded))
+
+
+def digest(rows):
+    h = hashlib.sha256()
+    for r in rows:
+        h.update(r.encode())
+    return h.hexdigest()
+
+
+def test_exact_outputs_match_the_pinned_digest(synthetic):
+    rows, hits = [], 0
+    for corpus_seed in range(3):
+        rng = np.random.default_rng(corpus_seed)
+        for _ in range(20):
+            inst = random_instance(rng)
+            sol = solve_exact(inst, budget=EXACT_BUDGET)
+            hits += sol.budget_exceeded
+            rows.append(row(sol, inst.n))
+    for inst in synthetic:
+        sol = solve_exact(inst, budget=EXACT_BUDGET)
+        hits += sol.budget_exceeded
+        rows.append(row(sol, inst.n))
+    assert 0 < hits < len(rows)  # both the budget path and the complete search
+    assert digest(rows) == DIGESTS["exact"]
+
+
+def test_heuristic_outputs_match_the_pinned_digest(synthetic):
+    rows = [row(solve_heuristic(inst, HeurConfig(seed=s)), inst.n)
+            for inst in synthetic for s in (0, 7)]
+    assert digest(rows) == DIGESTS["heuristic"]
+
+
+@pytest.mark.parametrize("name, scheme", [("go", solve_go), ("cpto", solve_cpto)])
+def test_baseline_outputs_match_the_pinned_digest(synthetic, name, scheme):
+    rows = []
+    for inst in synthetic:
+        a = scheme(inst)
+        rows.append(repr((a.key(inst.n), repr(evaluate_objective(a, inst.quality)))))
+    assert digest(rows) == DIGESTS[name]
