@@ -4,8 +4,7 @@ from .baselines import solve_cpto, solve_go
 from .geometry import (EpochRasters, GridSpec, OccupancyGrid, QualityMatrix,
                        build_quality_matrix, detected_awareness, fov_triangle,
                        rasterize_triangle, shared_interest)
-from .latency import (LatencyBreakdown, compute_delay, response_latency,
-                      transmit_delay, worker_capacity)
+from .latency import compute_delay, transmit_delay, worker_capacity
 from .metrics import EpochReport, RunReport, epoch_metrics, run_aggregate
 from .model import (Assignment, Roi, TaskProfile, Turn, User, VehicleState,
                     Worker)

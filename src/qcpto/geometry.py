@@ -13,9 +13,10 @@ directional coverage gains
 i.e. the fraction of i's region of interest that k's field of view covers
 and i's own does not (non-redundant gain; 0 when ROI_i is empty).
 
-Pipeline code rasterizes each user's ROI and FOV once into an
-:class:`EpochRasters` bank, inside each triangle's bounding window, and
-counts gains and awareness over the union of the ROI cells only.
+Pipeline code rasterizes each queued user's ROI and FOV once per epoch into
+an :class:`EpochRasters` bank, inside each triangle's bounding window, and
+counts the quality matrix's gains and the metrics' awareness from that one
+bank, over the union of the ROI cells only.
 """
 from __future__ import annotations
 
@@ -273,11 +274,10 @@ class QualityMatrix:
         return self.q.shape[0]
 
 
-def build_quality_matrix(flagged_users: Sequence[int], rois: Mapping, fovs: Mapping,
-                         grid_spec: GridSpec, mode: str = "sum") -> QualityMatrix:
-    """Pairwise shared interest for all unordered pairs of the flagged queue.
+def build_quality_matrix(rasters: EpochRasters, mode: str = "sum") -> QualityMatrix:
+    """Pairwise shared interest for all unordered pairs of a raster bank's users.
 
-    Row/column order follows ``flagged_users``.
+    Row/column order follows ``rasters.ids``.
     """
-    return QualityMatrix(EpochRasters(flagged_users, rois, fovs, grid_spec).quality(mode))
+    return QualityMatrix(rasters.quality(mode))
 

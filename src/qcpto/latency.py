@@ -1,27 +1,17 @@
-"""Response-latency model and the worker capacity bound.
+"""Response-latency terms and the worker capacity bound.
 
 Response latency is computation plus transmission; propagation delay is
 negligible at edge distances and the result frame sent back to the user is
 small enough to ignore. Worker CPU is divided equally among the eta_j users
-it is currently serving.
+it is currently serving. ``QmkpInstance.latency_of`` evaluates the same sum,
+``l * eta_j / c_j + lam / r_ij``, from an epoch's per-user and per-worker
+arrays.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
-from .model import User, Worker
-
-
-@dataclass(frozen=True)
-class LatencyBreakdown:
-    compute: float   # seconds
-    transmit: float  # seconds
-
-    @property
-    def total(self) -> float:
-        return self.compute + self.transmit
 
 
 def compute_delay(l: float, c_j: float, eta_j: int) -> float:
@@ -42,13 +32,6 @@ def transmit_delay(lam: float, r_ij: float) -> float:
     if lam < 0:
         raise DomainError(f"frame size must be >= 0, got {lam}")
     return lam / r_ij
-
-
-def response_latency(u: User, w: Worker, eta_j: int) -> LatencyBreakdown:
-    return LatencyBreakdown(
-        compute=compute_delay(u.task.workload_l, w.cpu_capacity, eta_j),
-        transmit=transmit_delay(u.task.frame_size_lambda, u.data_rate[w.id]),
-    )
 
 
 def worker_capacity(kappa: float, c_j: float, l_bar: float) -> int:

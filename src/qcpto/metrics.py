@@ -3,18 +3,19 @@
 Metrics are scoped to the flagged queue (users with a turn-aligned region of
 interest): detected awareness of each queue member, response latency of the
 served ones, mean collaborator count over used workers, and the fraction of
-queue members whose awareness meets the satisfaction threshold. Epochs with
-an empty queue report zero-valued, NaN-free aggregates.
+queue members whose awareness meets the satisfaction threshold, all read from
+the raster bank and instance the solver used. Epochs with an empty queue
+report zero-valued, NaN-free aggregates.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import EmptyRoi, EmptyRun
-from .geometry import EpochRasters, GridSpec
-from .latency import response_latency
-from .model import Assignment, Turn, User, Worker
+from .geometry import EpochRasters
+from .model import Assignment, Turn
+from .qmkp import QmkpInstance
 
 
 @dataclass(frozen=True)
@@ -44,38 +45,34 @@ def _safe_mean(values: Sequence[float]) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
-def epoch_metrics(slot: int, assignment: Assignment, rois: Mapping, fovs: Mapping,
-                  users: Sequence[User], workers: Sequence[Worker],
-                  grid_spec: GridSpec, phi: float = 0.35,
+def epoch_metrics(slot: int, rasters: Optional[EpochRasters],
+                  inst: Optional[QmkpInstance], assignment: Assignment,
+                  turns: Sequence[Turn], n_workers: int, phi: float = 0.35,
                   assigned_only: bool = False) -> EpochReport:
-    """Evaluate one decision epoch over the flagged queue ``users``."""
-    workers_by_id = {w.id: w for w in workers}
+    """Evaluate one decision epoch on its raster bank and instance (None for an
+    empty queue); ``assignment`` and ``turns`` are over the rows of ``rasters.ids``."""
     eta = assignment.eta()
-    rasters = EpochRasters([u.id for u in users], rois, fovs, grid_spec)
     records = []
-    for u in sorted(users, key=lambda u: u.id):
-        wid = assignment.worker_of(u.id)
-        collaborators = [k for k in assignment.users_of(wid) if k != u.id] if wid is not None else []
+    for i, turn in enumerate(turns):
+        j = assignment.worker_of(i)
+        others = [rasters.ids[k] for k in assignment.users_of(j) if k != i]
         try:
-            awareness = rasters.awareness(u.id, collaborators)
+            awareness = rasters.awareness(rasters.ids[i], others)
         except EmptyRoi:
             awareness = 0.0  # ROI fell outside the rasterized region
-        latency = 0.0
-        if wid is not None:
-            latency = response_latency(u, workers_by_id[wid], eta[wid]).total
         records.append(UserEpochRecord(
-            user_id=u.id,
-            turn=rois[u.id].turn,
-            worker_id=wid,
+            user_id=rasters.ids[i],
+            turn=turn,
+            worker_id=j,
             awareness=awareness,
-            latency_s=latency,
+            latency_s=0.0 if j is None else inst.latency_of(i, j, eta[j]),
             satisfied=awareness >= phi,
         ))
 
     scored = [r for r in records if r.worker_id is not None] if assigned_only else records
     served = [r for r in records if r.worker_id is not None]
     # collaborating vehicles per worker, averaged over the deployment
-    intensity = len(served) / len(workers) if workers else 0.0
+    intensity = len(served) / n_workers if n_workers else 0.0
     return EpochReport(
         slot=slot,
         records=tuple(records),

@@ -29,7 +29,8 @@ class QmkpInstance:
     capacity: tuple[float, ...]                 # per-worker collaborator count
     allowed: Optional[np.ndarray] = None        # (n, m) bool, comm-range eligibility
     distance: Optional[np.ndarray] = None       # (n, m) meters, used by baselines
-    compute_unit: Optional[np.ndarray] = None   # (n, m) seconds at eta=1 (l_i / C_j)
+    workload: Optional[np.ndarray] = None       # (n,) task cycles l_i
+    cpu: Optional[np.ndarray] = None            # (m,) worker cycles/s C_j
     transmit: Optional[np.ndarray] = None       # (n, m) seconds (lambda_i / R_ij)
     kappa: Optional[np.ndarray] = None          # (n,) per-user deadline, seconds
 
@@ -38,20 +39,17 @@ class QmkpInstance:
         if any(c < 0 for c in caps):
             raise ValueError("capacities must be >= 0")
         object.__setattr__(self, "capacity", caps)
-        for name in ("allowed", "distance", "compute_unit", "transmit"):
+        n, m = self.n, self.m
+        for name, shape in (("allowed", (n, m)), ("distance", (n, m)),
+                            ("workload", (n,)), ("cpu", (m,)),
+                            ("transmit", (n, m)), ("kappa", (n,))):
             arr = getattr(self, name)
             if arr is not None:
                 arr = np.asarray(arr)
-                if arr.shape != (self.n, self.m):
-                    raise ValueError(f"{name} must have shape (n, m)")
+                if arr.shape != shape:
+                    raise ValueError(f"{name} must have shape {shape}")
                 arr.setflags(write=False)
                 object.__setattr__(self, name, arr)
-        if self.kappa is not None:
-            k = np.asarray(self.kappa, dtype=float)
-            if k.shape != (self.n,):
-                raise ValueError("kappa must have shape (n,)")
-            k.setflags(write=False)
-            object.__setattr__(self, "kappa", k)
 
     @property
     def n(self) -> int:
@@ -63,16 +61,22 @@ class QmkpInstance:
 
     @property
     def has_latency(self) -> bool:
-        return self.compute_unit is not None and self.transmit is not None
+        return (self.workload is not None and self.cpu is not None
+                and self.transmit is not None)
 
     def is_allowed(self, i: int, j: int) -> bool:
         return True if self.allowed is None else bool(self.allowed[i, j])
 
     def latency_of(self, i: int, j: int, eta: int) -> float:
-        """Response latency of user i on worker j when eta users share it."""
+        """Response latency l_i * eta / C_j + lambda_i / R_ij of user i on worker j.
+
+        The worker's CPU is shared equally by the eta users it serves; this
+        is the latency the deadline repair checks and the metrics report.
+        """
         if not self.has_latency:
             raise DomainError("instance carries no latency data")
-        return float(self.compute_unit[i, j]) * eta + float(self.transmit[i, j])
+        return (float(self.workload[i]) * eta / float(self.cpu[j])
+                + float(self.transmit[i, j]))
 
 
 @dataclass(frozen=True)

@@ -23,10 +23,10 @@ import numpy as np
 
 from .baselines import solve_cpto, solve_go
 from .config import EXPERIMENT_KEYS, RunConfig, SCHEMES
-from .geometry import GridSpec, build_quality_matrix, fov_triangle
+from .geometry import EpochRasters, GridSpec, build_quality_matrix, fov_triangle
 from .latency import worker_capacity
 from .metrics import EpochReport, RunReport, epoch_metrics, run_aggregate
-from .model import Assignment, TaskProfile, Turn, User, VehicleState, Worker
+from .model import Assignment, Roi, TaskProfile, Turn, User, VehicleState, Worker
 from .predict import PredictorConfig, coast, run_predictor
 from .qmkp import QmkpInstance, evaluate_objective, repair_deadline
 from .solve_exact import solve_exact
@@ -120,29 +120,31 @@ def build_users(user_ids: Sequence[int], workers: Sequence[Worker],
 
 @dataclass(frozen=True)
 class EpochContext:
-    """Everything the solver sees for one decision epoch."""
+    """Everything the solver sees for one decision epoch; the metrics score
+    the same raster bank and instance (both None for an empty queue)."""
 
     slot: int
     queue_ids: tuple[int, ...]  # flagged users, ascending; instance row i = queue_ids[i]
     rois: dict
     fovs: dict
     instance: Optional[QmkpInstance]
+    rasters: Optional[EpochRasters]
 
 
-def build_epoch(slot: int, outputs: dict, states: dict, users: dict,
+def build_epoch(slot: int, rois: dict[int, Roi], states: dict, users: dict,
                 workers: Sequence[Worker], cfg: RunConfig,
                 gspec: GridSpec) -> EpochContext:
-    """Assemble the offloading instance for the flagged queue of one slot."""
-    queue_ids = tuple(sorted(uid for uid, out in outputs.items()
-                             if out.turn is not Turn.STRAIGHT))
-    rois = {uid: outputs[uid].roi for uid in queue_ids}
+    """Assemble the offloading instance for the users whose ROI follows a turn."""
+    queue_ids = tuple(sorted(uid for uid, roi in rois.items()
+                             if roi.turn is not Turn.STRAIGHT))
+    rois = {uid: rois[uid] for uid in queue_ids}
     fovs = {uid: fov_triangle(states[uid], users[uid].fov_range,
                               users[uid].fov_half_angle) for uid in queue_ids}
     if not queue_ids:
-        return EpochContext(slot, queue_ids, rois, fovs, None)
+        return EpochContext(slot, queue_ids, rois, fovs, None, None)
 
-    quality = build_quality_matrix(queue_ids, rois, fovs, gspec,
-                                   mode=cfg.geometry.pair_mode)
+    rasters = EpochRasters(queue_ids, rois, fovs, gspec)
+    quality = build_quality_matrix(rasters, mode=cfg.geometry.pair_mode)
     n, m = len(queue_ids), len(workers)
     l_bar = sum(users[u].task.workload_l for u in queue_ids) / n
     kappa_bar = sum(users[u].task.deadline_kappa for u in queue_ids) / n
@@ -150,23 +152,21 @@ def build_epoch(slot: int, outputs: dict, states: dict, users: dict,
                  for w in workers)
     allowed = np.zeros((n, m), dtype=bool)
     dist = np.zeros((n, m))
-    compute_unit = np.zeros((n, m))
     transmit = np.zeros((n, m))
-    kappa = np.zeros(n)
     for i, uid in enumerate(queue_ids):
         ux, uy = states[uid].position
-        kappa[i] = users[uid].task.deadline_kappa
         for j, w in enumerate(workers):
             d = math.hypot(ux - w.position[0], uy - w.position[1])
             dist[i, j] = d
             allowed[i, j] = d <= w.comm_range
-            compute_unit[i, j] = users[uid].task.workload_l / w.cpu_capacity
             transmit[i, j] = users[uid].task.frame_size_lambda / users[uid].data_rate[w.id]
     inst = QmkpInstance(
         quality=quality, capacity=caps, allowed=allowed, distance=dist,
-        compute_unit=compute_unit, transmit=transmit, kappa=kappa,
+        workload=np.array([users[u].task.workload_l for u in queue_ids]),
+        cpu=np.array([w.cpu_capacity for w in workers]), transmit=transmit,
+        kappa=np.array([users[u].task.deadline_kappa for u in queue_ids]),
     )
-    return EpochContext(slot, queue_ids, rois, fovs, inst)
+    return EpochContext(slot, queue_ids, rois, fovs, inst, rasters)
 
 
 def solve_epoch(ctx: EpochContext, scheme: str, cfg: RunConfig,
@@ -195,9 +195,7 @@ def solve_epoch(ctx: EpochContext, scheme: str, cfg: RunConfig,
         a = solve_cpto(inst)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    if sol_cfg.strict_deadline:
-        a = repair_deadline(a, inst, enforce_min_pair=min_pair)
-    return a
+    return repair_deadline(a, inst, enforce_min_pair=min_pair)
 
 
 @dataclass(frozen=True)
@@ -238,7 +236,6 @@ def run_simulation(trace: Trace, workers: Sequence[Worker], scheme: str,
     missed: dict[int, int] = {}
     coast_slots = cfg.predictor.coast_slots
     epochs: list[EpochLog] = []
-    first = trace.first_slot or 0
 
     for rec in trace.records:
         slot = rec.slot
@@ -257,7 +254,8 @@ def run_simulation(trace: Trace, workers: Sequence[Worker], scheme: str,
             missed[uid] = 0
 
         states = {s.user_id: s for s in rec.states}
-        ctx = build_epoch(slot, outputs, states, users, workers, cfg, gspec)
+        rois = {uid: out.roi for uid, out in outputs.items()}
+        ctx = build_epoch(slot, rois, states, users, workers, cfg, gspec)
         with _epoch_errors(slot):
             t0 = time.perf_counter()
             inst_assignment = solve_epoch(ctx, scheme, cfg, seed * 1_000_003 + slot)
@@ -267,8 +265,8 @@ def run_simulation(trace: Trace, workers: Sequence[Worker], scheme: str,
         objective = (evaluate_objective(inst_assignment, ctx.instance.quality)
                      if ctx.instance is not None else 0.0)
         report = epoch_metrics(
-            slot, assignment, ctx.rois, ctx.fovs,
-            [users[u] for u in ctx.queue_ids], workers, gspec,
+            slot, ctx.rasters, ctx.instance, inst_assignment,
+            [ctx.rois[u].turn for u in ctx.queue_ids], len(workers),
             phi=cfg.metrics.phi, assigned_only=cfg.metrics.assigned_only)
         epochs.append(EpochLog(report, objective, assignment, ctx.queue_ids,
                                decision_time))
@@ -308,19 +306,9 @@ def make_synthetic_instance(n_users: int, seed: int,
         turn = Turn.LEFT if rng.random() < 0.5 else Turn.RIGHT
         rois[uid] = estimate_roi(st, turn, cfg.predictor.roi_height_m)
     users = build_users(range(n_users), workers, cfg, seed + 2)
-    outputs = {uid: _FakeOutput(rois[uid]) for uid in range(n_users)}
-    ctx = build_epoch(0, outputs, states, users, workers, cfg, gspec)
+    ctx = build_epoch(0, rois, states, users, workers, cfg, gspec)
     assert ctx.instance is not None
     return ctx.instance
-
-
-@dataclass(frozen=True)
-class _FakeOutput:
-    roi: object
-
-    @property
-    def turn(self):
-        return self.roi.turn
 
 
 def _apply_experiment(cfg: RunConfig, experiment: str, value) -> RunConfig:

@@ -13,13 +13,13 @@ import pytest
 
 from qcpto.cli import main
 from qcpto.config import RunConfig
-from qcpto.geometry import (GridSpec, detected_awareness, rasterize_triangle,
-                            shared_interest)
+from qcpto.geometry import (EpochRasters, GridSpec, build_quality_matrix,
+                            detected_awareness, rasterize_triangle, shared_interest)
 from qcpto.latency import compute_delay, transmit_delay, worker_capacity
 from qcpto.metrics import epoch_metrics
 from qcpto.model import Assignment, Roi, TaskProfile, Turn, User, Worker
 from qcpto.predict import KfState, PredictorConfig, init_state, kf_predict, kf_update
-from qcpto.qmkp import enumerate_optimal, random_instance
+from qcpto.qmkp import QmkpInstance, enumerate_optimal, random_instance
 from qcpto.sim import make_synthetic_instance, run_scenario
 from qcpto.solve_exact import solve_exact
 from qcpto.solve_heur import HeurConfig, solve_heuristic
@@ -232,7 +232,13 @@ def test_criterion_9_monotonicity(heuristic_runs):
         rois = {i: Roi(triangle=small, turn=Turn.LEFT) for i in range(4)}
         fovs = {i: (big if rng.random() < 0.5 else far) for i in range(4)}
         a = Assignment({0: 0, 1: 0}) if rng.random() < 0.5 else Assignment.empty()
-        ratios = [epoch_metrics(0, a, rois, fovs, users, workers, grid,
+        bank = EpochRasters(range(4), rois, fovs, grid)
+        inst = QmkpInstance(build_quality_matrix(bank), capacity=(4,),
+                            workload=[u.task.workload_l for u in users],
+                            cpu=[workers[0].cpu_capacity],
+                            transmit=[[u.task.frame_size_lambda / u.data_rate[0]]
+                                      for u in users])
+        ratios = [epoch_metrics(0, bank, inst, a, [Turn.LEFT] * 4, len(workers),
                                 phi=phi).satisfaction_ratio
                   for phi in (0.0, 0.25, 0.5, 0.75, 1.0)]
         assert all(x >= y for x, y in zip(ratios, ratios[1:]))

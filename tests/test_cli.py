@@ -274,7 +274,7 @@ def test_run_bad_scenario_value_exits_1(tmp_path, capsys, key, value, experiment
     ("patience", 0),
     ("node_budget", 0),
     ("memory_capacity", 0),  # a removed key, rejected as unknown
-    ("strict_deadline", "yes"),
+    ("strict_deadline", "yes"),  # a removed key, rejected as unknown
     ("regen_alpha_each_iter", 1),
     ("latency_weights", True),
     ("go_worker_order", "farthest"),

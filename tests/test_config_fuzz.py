@@ -130,7 +130,7 @@ def instances(draw, max_n=8, max_m=3, latency=True):
             size = int(np.prod(shape))
             return np.array(draw(st.lists(st.floats(lo, hi), min_size=size,
                                           max_size=size))).reshape(shape)
-        extra = {"compute_unit": matrix(0.01, 0.2, (n, m)),
+        extra = {"workload": matrix(1e7, 4e8, (n,)), "cpu": matrix(1e9, 4e9, (m,)),
                  "transmit": matrix(0.001, 0.05, (n, m)),
                  "kappa": matrix(0.05, 0.5, (n,))}
     return QmkpInstance(quality=QualityMatrix(q), capacity=caps, allowed=allowed, **extra)

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from qcpto.errors import EmptyRoi
-from qcpto.geometry import (GridSpec, QualityMatrix, build_quality_matrix,
-                            detected_awareness, fov_triangle,
+from qcpto.geometry import (EpochRasters, GridSpec, QualityMatrix,
+                            build_quality_matrix, detected_awareness, fov_triangle,
                             rasterize_triangle, shared_interest)
 from qcpto.model import Roi, Turn, VehicleState
 
@@ -183,7 +183,7 @@ def test_pair_mode_variants():
 def test_quality_matrix_single_user():
     rois = {7: tri_roi(((1.0, 1.0), (5.0, 1.0), (3.0, 5.0)))}
     fovs = {7: ((0.0, 0.0), (6.0, 0.0), (3.0, 6.0))}
-    qm = build_quality_matrix([7], rois, fovs, GRID50)
+    qm = build_quality_matrix(EpochRasters([7], rois, fovs, GRID50))
     assert qm.n == 1 and qm.q[0, 0] == 0.0
 
 
@@ -192,13 +192,13 @@ def test_quality_matrix_matches_pairwise_calls_and_permutes():
     ids = [3, 8, 5]
     rois = {i: tri_roi(random_triangle(rng)) for i in ids}
     fovs = {i: random_triangle(rng) for i in ids}
-    qm = build_quality_matrix(ids, rois, fovs, GRID50)
+    qm = build_quality_matrix(EpochRasters(ids, rois, fovs, GRID50))
     for a, i in enumerate(ids):
         for b, k in enumerate(ids):
             if a != b:
                 assert qm.q[a, b] == shared_interest(i, k, rois, fovs, GRID50)
     perm = [8, 5, 3]
-    qp = build_quality_matrix(perm, rois, fovs, GRID50)
+    qp = build_quality_matrix(EpochRasters(perm, rois, fovs, GRID50))
     for a, i in enumerate(perm):
         for b, k in enumerate(perm):
             if a != b:

@@ -15,6 +15,7 @@ from qcpto.geometry import (EpochRasters, GridSpec, build_quality_matrix,
                             rasterize_triangle)
 from qcpto.metrics import epoch_metrics
 from qcpto.model import Assignment, Roi, TaskProfile, Turn, User, Worker
+from qcpto.qmkp import QmkpInstance
 
 GRID50 = GridSpec(0.0, 0.0, 1.0, 50, 50)
 # not square, offset origin, half-meter cells: catches row/column mix-ups
@@ -61,6 +62,16 @@ def make_user(uid):
                 20.0, math.pi / 6)
 
 
+def queue_instance(bank, ids):
+    users = [make_user(u) for u in ids]
+    return QmkpInstance(
+        build_quality_matrix(bank), capacity=(len(ids),) * len(WORKERS),
+        workload=[u.task.workload_l for u in users],
+        cpu=[w.cpu_capacity for w in WORKERS],
+        transmit=[[u.task.frame_size_lambda / u.data_rate[w.id] for w in WORKERS]
+                  for u in users])
+
+
 def test_random_queues_match_oracles(monkeypatch):
     # the oracles re-rasterize every triangle per pair; memoize the raster only,
     # handing out copies because awareness_oracle grows its cover set in place
@@ -69,8 +80,10 @@ def test_random_queues_match_oracles(monkeypatch):
     rng = random.Random(97)
     for _ in range(30):
         ids, rois, fovs = random_queue(rng)
+        bank = EpochRasters(ids, rois, fovs, GRID50)
+        inst = queue_instance(bank, ids)
         for mode in ("sum", "max", "mean"):
-            q = build_quality_matrix(ids, rois, fovs, GRID50, mode=mode).q
+            q = build_quality_matrix(bank, mode=mode).q
             for a, i in enumerate(ids):
                 for b, k in enumerate(ids):
                     if a != b:
@@ -81,8 +94,9 @@ def test_random_queues_match_oracles(monkeypatch):
         for _ in range(3):
             picks = {u: rng.randrange(len(WORKERS) + 1) for u in ids}
             assignment = Assignment({u: j for u, j in picks.items() if j < len(WORKERS)})
-            report = epoch_metrics(0, assignment, rois, fovs, [make_user(u) for u in ids],
-                                   WORKERS, GRID50)
+            rows = Assignment({ids.index(u): j for u, j in assignment.items()})
+            report = epoch_metrics(0, bank, inst, rows, [rois[u].turn for u in ids],
+                                   len(WORKERS))
             for rec in report.records:
                 u = rec.user_id
                 if not oracles.raster_cells(rois[u].triangle, GRID50):

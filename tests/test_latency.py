@@ -1,12 +1,12 @@
-import math
+import dataclasses
 import random
 
 import pytest
 
+from qcpto import geometry, sim
+from qcpto.config import RunConfig, ScenarioSection
 from qcpto.errors import DomainError
-from qcpto.latency import (compute_delay, response_latency, transmit_delay,
-                           worker_capacity)
-from qcpto.model import TaskProfile, User, Worker
+from qcpto.latency import compute_delay, transmit_delay, worker_capacity
 
 
 def test_compute_delay_reference_values():
@@ -33,23 +33,6 @@ def test_transmit_delay_domain_error():
         transmit_delay(2e5, 0.0)
 
 
-def test_response_latency_combines_components():
-    u = User(0, TaskProfile(2e8, 2e5, 0.4), {3: 1.5e7}, 20.0, math.pi / 6)
-    w = Worker(3, (0, 0), 2e9, 200.0)
-    breakdown = response_latency(u, w, eta_j=2)
-    assert breakdown.compute == pytest.approx(0.2)
-    assert breakdown.transmit == pytest.approx(0.0133333333, abs=1e-9)
-    assert breakdown.total == pytest.approx(0.2 + 2e5 / 1.5e7)
-    assert breakdown.total == breakdown.compute + breakdown.transmit
-
-
-def test_response_latency_compute_only_in_fast_link_limit():
-    u = User(0, TaskProfile(2e8, 2e5, 0.4), {0: 1e15}, 20.0, math.pi / 6)
-    w = Worker(0, (0, 0), 2e9, 200.0)
-    breakdown = response_latency(u, w, eta_j=1)
-    assert breakdown.total == pytest.approx(breakdown.compute, rel=1e-6)
-
-
 def test_worker_capacity_reference_values():
     assert worker_capacity(0.4, 2e9, 2e8) == 4
     assert worker_capacity(0.4, 3e9, 2e8) == 6
@@ -74,3 +57,47 @@ def test_delay_scaling_properties():
         assert compute_delay(l, c, 2 * eta) == pytest.approx(2 * base)
         lam, r = rng.uniform(1e4, 1e6), rng.uniform(1e6, 1e8)
         assert transmit_delay(lam, r) == pytest.approx(lam / r)
+
+
+@pytest.mark.parametrize("n_vehicles, scheme", [(40, "heuristic"), (200, "go"),
+                                                (200, "cpto")])
+def test_reported_latency_is_the_checked_latency(monkeypatch, n_vehicles, scheme):
+    # every served user reports the latency that the deadline repair checked,
+    # and the metrics score the one raster bank that the quality matrix used
+    built = []
+    init = geometry.EpochRasters.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(geometry.EpochRasters, "__init__", counted)
+    contexts = []
+    build_epoch = sim.build_epoch
+
+    def recording(*args, **kwargs):
+        before = len(built)
+        ctx = build_epoch(*args, **kwargs)
+        contexts.append((ctx, built[before:]))
+        return ctx
+
+    monkeypatch.setattr(sim, "build_epoch", recording)
+    cfg = dataclasses.replace(RunConfig(),
+                              scenario=ScenarioSection(n_vehicles=n_vehicles))
+    served = 0
+    for seed in range(3):
+        del contexts[:], built[:]
+        _, logs = sim.run_scenario(cfg, scheme, seed)
+        assert len(contexts) == len(logs)
+        for (ctx, banks), log in zip(contexts, logs):
+            assert banks == ([] if ctx.instance is None else [ctx.rasters])
+            eta = log.assignment.eta()
+            for row, rec in enumerate(log.report.records):
+                if rec.worker_id is None:
+                    continue
+                t = ctx.instance.latency_of(row, rec.worker_id, eta[rec.worker_id])
+                assert rec.latency_s == t
+                assert t <= ctx.instance.kappa[row] + 1e-12
+                served += 1
+        assert len(built) == sum(ctx.instance is not None for ctx, _ in contexts)
+    assert served > 100

@@ -4,9 +4,10 @@ import random
 import pytest
 
 from qcpto.errors import EmptyRun
-from qcpto.geometry import GridSpec
+from qcpto.geometry import EpochRasters, GridSpec, build_quality_matrix
 from qcpto.metrics import epoch_metrics, run_aggregate
 from qcpto.model import Assignment, Roi, TaskProfile, Turn, User, Worker
+from qcpto.qmkp import QmkpInstance
 
 GRID = GridSpec(0.0, 0.0, 1.0, 50, 50)
 BIG = ((0.0, 0.0), (49.0, 0.0), (25.0, 49.0))          # covers most of the grid
@@ -26,12 +27,25 @@ def roi(tri):
     return Roi(triangle=tri, turn=Turn.LEFT)
 
 
+def score(assignment, rois, fovs, users, **kwargs):
+    """Metrics on the bank and instance of a queue whose ids are its rows."""
+    ids = [u.id for u in users]
+    bank = EpochRasters(ids, rois, fovs, GRID)
+    inst = QmkpInstance(
+        build_quality_matrix(bank), capacity=(len(ids),) * len(WORKERS),
+        workload=[u.task.workload_l for u in users],
+        cpu=[w.cpu_capacity for w in WORKERS],
+        transmit=[[u.task.frame_size_lambda / u.data_rate[w.id] for w in WORKERS]
+                  for u in users])
+    return epoch_metrics(0, bank, inst, assignment, [rois[u].turn for u in ids],
+                         len(WORKERS), **kwargs)
+
+
 def test_unassigned_users_score_own_coverage():
     users = [make_user(0), make_user(1)]
     rois = {0: roi(SMALL), 1: roi(SMALL)}
     fovs = {0: BIG, 1: FAR}  # user 0 self-covers, user 1 does not
-    report = epoch_metrics(0, Assignment.empty(), rois, fovs, users, WORKERS,
-                           GRID, phi=0.35)
+    report = score(Assignment.empty(), rois, fovs, users, phi=0.35)
     assert report.records[0].awareness == 1.0
     assert report.records[1].awareness == 0.0
     assert report.satisfaction_ratio == 0.5
@@ -44,7 +58,7 @@ def test_full_cover_on_one_worker():
     rois = {0: roi(SMALL), 1: roi(SMALL)}
     fovs = {0: BIG, 1: BIG}
     a = Assignment({0: 0, 1: 0})
-    report = epoch_metrics(0, a, rois, fovs, users, WORKERS, GRID, phi=0.35)
+    report = score(a, rois, fovs, users, phi=0.35)
     assert report.mean_awareness == 1.0
     assert report.satisfaction_ratio == 1.0
     assert report.n_assigned == 2
@@ -57,13 +71,13 @@ def test_perception_intensity_counts_per_deployed_worker():
     rois = {i: roi(SMALL) for i in range(5)}
     fovs = {i: BIG for i in range(5)}
     a = Assignment({0: 0, 1: 0, 2: 1, 3: 1, 4: 1})
-    report = epoch_metrics(0, a, rois, fovs, users, WORKERS, GRID)
+    report = score(a, rois, fovs, users)
     assert report.eta == ((0, 2), (1, 3))
     assert report.perception_intensity == pytest.approx(2.5)
 
 
 def test_empty_queue_is_nan_free():
-    report = epoch_metrics(3, Assignment.empty(), {}, {}, [], WORKERS, GRID)
+    report = epoch_metrics(3, None, None, Assignment.empty(), [], len(WORKERS))
     assert report.n_flagged == 0
     assert report.mean_awareness == 0.0
     assert report.satisfaction_ratio == 0.0
@@ -75,8 +89,7 @@ def test_assigned_only_flag_restricts_scope():
     rois = {0: roi(SMALL), 1: roi(SMALL)}
     fovs = {0: BIG, 1: BIG}
     a = Assignment.empty()
-    scoped = epoch_metrics(0, a, rois, fovs, users, WORKERS, GRID,
-                           assigned_only=True)
+    scoped = score(a, rois, fovs, users, assigned_only=True)
     assert scoped.mean_awareness == 0.0 and scoped.satisfaction_ratio == 0.0
 
 
@@ -87,8 +100,7 @@ def test_satisfaction_monotone_in_phi():
         rois = {i: roi(SMALL) for i in range(4)}
         fovs = {i: (BIG if rng.random() < 0.5 else FAR) for i in range(4)}
         a = Assignment({0: 0, 1: 0}) if rng.random() < 0.5 else Assignment.empty()
-        ratios = [epoch_metrics(0, a, rois, fovs, users, WORKERS, GRID,
-                                phi=phi).satisfaction_ratio
+        ratios = [score(a, rois, fovs, users, phi=phi).satisfaction_ratio
                   for phi in (0.1, 0.35, 0.6, 0.9)]
         assert all(x >= y for x, y in zip(ratios, ratios[1:]))
 
@@ -98,7 +110,7 @@ def test_aggregates_recomputable_from_records():
     rois = {i: roi(SMALL) for i in range(3)}
     fovs = {0: BIG, 1: FAR, 2: BIG}
     a = Assignment({0: 0, 1: 0})
-    report = epoch_metrics(0, a, rois, fovs, users, WORKERS, GRID, phi=0.35)
+    report = score(a, rois, fovs, users, phi=0.35)
     assert report.mean_awareness == pytest.approx(
         sum(r.awareness for r in report.records) / 3)
     served = [r for r in report.records if r.worker_id is not None]
@@ -112,7 +124,7 @@ def epoch_with(mean_aware):
     users = [make_user(0)]
     rois = {0: roi(SMALL)}
     fovs = {0: BIG if mean_aware else FAR}
-    return epoch_metrics(0, Assignment.empty(), rois, fovs, users, WORKERS, GRID)
+    return score(Assignment.empty(), rois, fovs, users)
 
 
 def test_run_aggregate_single_and_identical_epochs():

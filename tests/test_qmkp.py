@@ -49,7 +49,7 @@ def test_check_feasible_allowed_mask():
 def test_check_feasible_strict_deadline():
     inst = QmkpInstance(
         quality({(0, 1): 1.0}, 2), capacity=(2.0,),
-        compute_unit=np.full((2, 1), 0.15), transmit=np.full((2, 1), 0.02),
+        workload=np.full(2, 0.3e9), cpu=np.full(1, 2e9), transmit=np.full((2, 1), 0.02),
         kappa=np.array([0.4, 0.25]))
     a = Assignment({0: 0, 1: 0})
     assert check_feasible(a, inst)[0]
@@ -68,7 +68,7 @@ def test_repair_deadline_evicts_lowest_contribution():
     # weakest contributor goes first
     inst = QmkpInstance(
         quality({(0, 1): 1.0, (0, 2): 0.1, (1, 2): 0.1}, 3), capacity=(3.0,),
-        compute_unit=np.full((3, 1), 0.12), transmit=np.zeros((3, 1)),
+        workload=np.full(3, 0.24e9), cpu=np.full(1, 2e9), transmit=np.zeros((3, 1)),
         kappa=np.full(3, 0.3))
     a = Assignment({0: 0, 1: 0, 2: 0})  # t = 0.36 each at eta=3
     fixed = repair_deadline(a, inst)

@@ -59,7 +59,8 @@ def test_pipeline_matches_independent_solver_call():
         for uid, out in outs.items():
             banks[uid] = out.state
         states = {s.user_id: s for s in rec.states}
-        ctx = build_epoch(rec.slot, outs, states, users, workers, cfg, gspec)
+        rois = {uid: out.roi for uid, out in outs.items()}
+        ctx = build_epoch(rec.slot, rois, states, users, workers, cfg, gspec)
         log = epochs[rec.slot - trace.first_slot]
         assert log.queue == ctx.queue_ids
         if ctx.instance is not None and len(ctx.queue_ids) >= 3:

@@ -40,15 +40,15 @@ def test_density_cases():
     # equal contributions (0.5) are ranked by response time on the top worker
     q = quality({(0, 1): 0.5, (0, 2): 0.5}, 3)
 
-    def inst(compute_unit):
-        return QmkpInstance(q, capacity=(2.0,), compute_unit=np.array(compute_unit),
-                            transmit=np.zeros((3, 1)))
+    def inst(workload):
+        return QmkpInstance(q, capacity=(2.0,), workload=np.array(workload),
+                            cpu=np.ones(1), transmit=np.zeros((3, 1)))
 
     assert greedy_bin_packing(QmkpInstance(q, capacity=(2.0,))) == [0, 0, -1]
     # densities 1.0/0.1, 0.5/0.2 and 0.5/0.1: user 2 is faster than user 1
-    assert greedy_bin_packing(inst([[0.1], [0.2], [0.1]])) == [0, -1, 0]
+    assert greedy_bin_packing(inst([0.1, 0.2, 0.1])) == [0, -1, 0]
     # a zero response time counts as zero density, not as a division
-    assert greedy_bin_packing(inst([[0.1], [0.2], [0.0]])) == [0, 0, -1]
+    assert greedy_bin_packing(inst([0.1, 0.2, 0.0])) == [0, 0, -1]
 
 
 def test_density_ordering_invariant_under_scaling():
