@@ -1,11 +1,13 @@
 """Seeded `qcpto run` outputs, pinned by digest.
 
 Each digest is the sha256 of run.json followed by epochs.csv, as written by
-``qcpto run --scheme S --seed N`` with the default configuration. A change
+``qcpto run --scheme S --seed N`` with the default configuration, or with
+``predictor.measurement_noise_std = 0.5`` for the noisy runs. A change
 that is meant to keep every reported number must keep these digests; a change
 that moves one must say which output changed and why.
 """
 import hashlib
+import json
 
 import pytest
 
@@ -31,11 +33,33 @@ DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("scheme, seed", sorted(DIGESTS))
-def test_run_outputs_match_the_pinned_digest(tmp_path, scheme, seed):
-    out = tmp_path / "run"
-    assert main(["run", "--scheme", scheme, "--seed", str(seed), "--out", str(out)]) == 0
+# measurement noise is the one place where the predictor draws random numbers
+NOISY_DIGESTS = {
+    ("heuristic", 0):
+        "c85e9a6c8b8c69b0f20d4537c8397970d6275c5ad4c7cd39001d3a07e304d4da",
+    ("heuristic", 42):
+        "ad992c98d0fbd42a14629597731822be75ba86af832554b04030606ee60128e1",
+}
+
+
+def run_digest(out, argv):
+    assert main(["run", *argv, "--out", str(out)]) == 0
     h = hashlib.sha256()
     for name in ("run.json", "epochs.csv"):
         h.update((out / name).read_bytes())
-    assert h.hexdigest() == DIGESTS[(scheme, seed)]
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("scheme, seed", sorted(DIGESTS))
+def test_run_outputs_match_the_pinned_digest(tmp_path, scheme, seed):
+    argv = ["--scheme", scheme, "--seed", str(seed)]
+    assert run_digest(tmp_path / "run", argv) == DIGESTS[(scheme, seed)]
+
+
+@pytest.mark.parametrize("scheme, seed", sorted(NOISY_DIGESTS))
+def test_noisy_run_outputs_match_the_pinned_digest(tmp_path, scheme, seed):
+    config = tmp_path / "noisy.json"
+    config.write_text(json.dumps({"predictor": {"measurement_noise_std": 0.5}}),
+                      encoding="utf-8")
+    argv = ["--config", str(config), "--scheme", scheme, "--seed", str(seed)]
+    assert run_digest(tmp_path / "run", argv) == NOISY_DIGESTS[(scheme, seed)]

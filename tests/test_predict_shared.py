@@ -6,18 +6,19 @@ predictor shares covariances between filters with the same update/coast
 history, and must reproduce the reference bit for bit.
 """
 import dataclasses
+import random
 
 import numpy as np
 import pytest
 
 from qcpto.config import RunConfig
 from qcpto.errors import SingularInnovation
-from qcpto.model import Turn
+from qcpto.model import Turn, VehicleState
 from qcpto.predict import (MEASUREMENT_MATRIX, KfState, PredictorConfig,
                            PredictorOutput, classify_turn, coast,
                            cv_transition, estimate_roi, run_predictor)
 from qcpto.sim import default_workers, run_simulation, scenario_config
-from qcpto.trace import ScenarioConfig, synth_intersection
+from qcpto.trace import ScenarioConfig, SlotRecord, Trace, synth_intersection
 
 COAST_SLOTS = RunConfig().predictor.coast_slots
 
@@ -97,16 +98,36 @@ def drive(trace, cfg, step, coast_fn, seed=0):
         yield rec.slot, outputs, bank
 
 
+def gappy(trace, drop, seed):
+    """The trace with each vehicle state dropped with probability ``drop``."""
+    rng = random.Random(seed)
+    return Trace(tuple(
+        SlotRecord(rec.slot, tuple(s for s in rec.states if rng.random() >= drop))
+        for rec in trace.records))
+
+
+# (vehicles, drop probability): the synthetic traces never bring a filter back
+# within coast_slots; the gappy ones do, so coast-then-update runs
+TRACES = [(200, 0.0), (40, 0.0), (200, 0.1), (200, 0.3)]
+
+
+@pytest.mark.parametrize("n_vehicles, drop", TRACES)
 @pytest.mark.parametrize("noise_std", [0.0, 0.5])
-def test_shared_covariances_match_checked_reference(noise_std):
-    trace = synth_intersection(ScenarioConfig(n_vehicles=200), 8000)
+def test_shared_covariances_match_checked_reference(n_vehicles, drop, noise_std):
+    trace = gappy(synth_intersection(ScenarioConfig(n_vehicles=n_vehicles), 8000),
+                  drop, 8001)
     cfg = PredictorConfig(measurement_noise_std=noise_std)
-    steps = 0
-    covs = set()
+    steps = resumes = 0
+    prev = set()
+    history, shared = {}, {}
     for (slot, got, bank), (_, want, ref_bank) in zip(
             drive(trace, cfg, run_predictor, coast),
             drive(trace, cfg, ref_run_predictor, ref_coast)):
         assert got.keys() == want.keys(), slot
+        # a filter measured again after coasting continues its updates
+        resumes += sum(1 for uid, g in got.items()
+                       if uid not in prev and g.state.updates > 1)
+        prev = set(got)
         for uid, g in got.items():
             w = want[uid]
             assert np.array_equal(g.state.x_hat, w.state.x_hat), (slot, uid)
@@ -118,11 +139,46 @@ def test_shared_covariances_match_checked_reference(noise_std):
         for uid, s in bank.items():
             assert np.array_equal(s.x_hat, ref_bank[uid].x_hat), (slot, uid)
             assert np.array_equal(s.p_cov, ref_bank[uid].p_cov), (slot, uid)
-            covs.add(id(s.p_cov))
+            if uid not in got:
+                history[uid] = (history[uid], "coast")
+            elif s.updates == 1:
+                history[uid] = ("init",)
+            else:
+                history[uid] = (history[uid], "update")
+            # every filter with the same history holds the same covariance object
+            assert shared.setdefault(history[uid], id(s.p_cov)) == id(s.p_cov)
         steps += len(bank)
-    assert steps > 5000
-    # every filter with the same history holds the same covariance object
-    assert len(covs) * 50 < steps
+    assert steps > 20 * n_vehicles
+    if drop:
+        assert resumes > 0
+    else:
+        assert resumes == 0 and len(shared) * 25 < steps
+
+
+@pytest.mark.parametrize("absent", [COAST_SLOTS, COAST_SLOTS + 1])
+def test_filter_resumes_within_coast_slots_and_restarts_after(absent):
+    # one user driving east at 10 m/s, measured for four slots, then absent
+    # for ``absent`` slots, then measured again
+    seen = list(range(4)) + [4 + absent]
+    trace = Trace(tuple(
+        SlotRecord(t, (VehicleState(7, (10.0 * t, 5.0), 0.0, 10.0, t),)
+                   if t in seen else ())
+        for t in range(5 + absent)))
+    cfg = PredictorConfig()
+    for slot, _, bank in drive(trace, cfg, run_predictor, coast):
+        if slot in seen:
+            kf = bank[7]
+        elif slot - 3 <= COAST_SLOTS:
+            assert bank[7].updates == 4, slot  # coasting keeps the count
+        else:
+            assert 7 not in bank, slot
+    z = [10.0 * seen[-1], 5.0]
+    if absent <= COAST_SLOTS:
+        assert kf.updates == 5
+        assert not np.array_equal(kf.x_hat, [*z, 0.0, 0.0])
+    else:
+        assert kf.updates == 1
+        assert np.array_equal(kf.x_hat, [*z, 0.0, 0.0])
 
 
 def test_singular_innovation_raised_in_same_epoch_with_same_message():
