@@ -8,8 +8,8 @@ from .latency import compute_delay, transmit_delay, worker_capacity
 from .metrics import EpochReport, RunReport, epoch_metrics, run_aggregate
 from .model import (Assignment, Roi, TaskProfile, Turn, User, VehicleState,
                     Worker)
-from .predict import (KfState, PredictorConfig, classify_turn, estimate_roi,
-                      kf_predict, kf_update, run_predictor)
+from .predict import (FilterBank, KfState, PredictorConfig, classify_turn,
+                      estimate_roi, kf_predict, kf_update, run_predictor)
 from .qmkp import (QmkpInstance, Solution, check_feasible, enumerate_optimal,
                    evaluate_objective, instance_from_json, instance_to_json,
                    random_instance, repair_deadline, repair_min_pair)

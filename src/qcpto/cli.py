@@ -19,7 +19,7 @@ from scipy import stats
 
 from . import sim
 from .config import (RunConfig, SCHEMES, config_to_dict, load_config,
-                     validate_config)
+                     sweep_threads, validate_config)
 from .errors import ConfigError, MissingResults
 from .qmkp import enumerate_optimal, instance_to_json, random_instance
 from .solve_exact import solve_exact
@@ -51,6 +51,7 @@ def cmd_run(config_path: str | None, scheme: str | None, seed: int | None,
             solver = dataclasses.replace(cfg.solver, scheme=scheme)
             cfg = dataclasses.replace(cfg, solver=solver)
         validate_config(cfg)  # the overrides are checked like the file
+        sweep_threads()
     except ConfigError as exc:
         print(f"config error ({config_path}): {exc}", file=sys.stderr)
         return 1

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
@@ -311,7 +312,9 @@ def load_config(path) -> RunConfig:
     return config_from_dict(doc)
 
 
-def dump_config(cfg: RunConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def sweep_threads() -> int:
+    """Sweep processes from QCPTO_THREADS; unset or empty means 1."""
+    raw = os.environ.get("QCPTO_THREADS", "")
+    ok = raw == "" or (raw.strip().isdecimal() and int(raw) >= 1)
+    _require(ok, "QCPTO_THREADS", "an integer >= 1", raw)
+    return int(raw or "1")

@@ -13,14 +13,15 @@ one-step predicted covariance and gain depend only on its history of
 measurement updates and coasts, never on the measured data. They live in a
 tree of ``CovNode`` objects owned by the ``PredictorConfig``: the root holds
 P0, and each node is computed and PSD-checked once, on first use, then shared
-by every filter with that history. Only the state vector is per user.
+by every filter with that history. A ``FilterBank`` holds the tracked users
+as rows: a state vector, its node, an update count and a missed-slot count.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -78,7 +79,7 @@ class FilterModel:
 class CovNode:
     """Covariance of one update/coast history, shared by all filters with it.
 
-    ``p_cov`` is PSD-checked before the node is made. The predicted
+    ``p_cov`` is PSD-checked when the node is made. The predicted
     covariance, the gain and the successors after an update or a coast are
     computed on first use and kept.
     """
@@ -86,16 +87,13 @@ class CovNode:
     __slots__ = ("model", "p_cov", "_p_pred", "_gain", "_updated", "_coasted")
 
     def __init__(self, model: FilterModel, p_cov: np.ndarray):
+        _check_psd(p_cov, "p_cov")
         self.model = model
         self.p_cov = _readonly(p_cov)
         self._p_pred: Optional[np.ndarray] = None
         self._gain: Optional[np.ndarray] = None
         self._updated: Optional[CovNode] = None
         self._coasted: Optional[CovNode] = None
-
-    def _child(self, p_cov: np.ndarray) -> "CovNode":
-        _check_psd(p_cov, "p_cov")
-        return CovNode(self.model, p_cov)
 
     @property
     def p_pred(self) -> np.ndarray:
@@ -109,24 +107,20 @@ class CovNode:
         """Gain of the next measurement update and the node after it."""
         if self._updated is None:
             gain, p_new = _update_cov(self.model.h_mat, self.p_pred, self.model.r_meas)
-            self._updated = self._child(p_new)
-            self._gain = _readonly(gain)
+            self._updated, self._gain = CovNode(self.model, p_new), _readonly(gain)
         return self._gain, self._updated
 
     def coast(self) -> "CovNode":
         """Node after one slot without a measurement."""
         if self._coasted is None:
-            self._coasted = self._child(self.p_pred)
+            self._coasted = CovNode(self.model, self.p_pred)
         return self._coasted
 
 
 @dataclass(frozen=True)
 class KfState:
-    """Filter state of one tracked user.
-
-    A state built directly checks its covariances. The states the predictor
-    builds sit on a shared ``CovNode`` whose covariances were checked once.
-    """
+    """One filter stepped on its own, every covariance checked: the plain
+    per-step form of the arithmetic a ``FilterBank`` runs on its rows."""
 
     x_hat: np.ndarray   # (4,) [px, py, vx, vy]
     p_cov: np.ndarray   # (4, 4)
@@ -135,30 +129,15 @@ class KfState:
     q_proc: np.ndarray  # (4, 4) process noise covariance
     r_meas: np.ndarray  # (2, 2) measurement noise covariance
     updates: int = 0    # measurement updates consumed so far
-    node = None         # shared covariance node; not a field, None when built directly
 
     def __post_init__(self):
         for name in ("x_hat", "p_cov", "a_mat", "h_mat", "q_proc", "r_meas"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name,
+                               _readonly(np.asarray(getattr(self, name), dtype=float)))
         if self.x_hat.shape != (4,):
             raise ValueError("state must be a 4-vector")
-        _check_psd(self.p_cov, "p_cov")
-        _check_psd(self.q_proc, "q_proc")
-        _check_psd(self.r_meas, "r_meas")
-
-    @classmethod
-    def on_node(cls, x_hat: np.ndarray, node: CovNode, updates: int) -> "KfState":
-        """State with a fresh 4-vector on an already checked shared node."""
-        s = object.__new__(cls)
-        m = node.model
-        for name, value in (("x_hat", _readonly(x_hat)), ("p_cov", node.p_cov),
-                            ("a_mat", m.a_mat), ("h_mat", m.h_mat),
-                            ("q_proc", m.q_proc), ("r_meas", m.r_meas),
-                            ("updates", updates), ("node", node)):
-            object.__setattr__(s, name, value)
-        return s
+        for name in ("p_cov", "q_proc", "r_meas"):
+            _check_psd(getattr(self, name), name)
 
 
 @dataclass(frozen=True)
@@ -173,21 +152,21 @@ class PredictorConfig:
     warmup_slots: int = 3
     roi_height: float = 10.0
     measurement_noise_std: float = 0.0  # optional additive noise, off by default
+    coast_slots: int = 3  # slots a filter coasts unmeasured before it is dropped
 
     @cached_property
     def cov_root(self) -> CovNode:
         """Root of this config's covariance tree; P0, Q and R are checked here once."""
-        p0 = np.diag(self.p0_diag).astype(float)
         model = FilterModel(
             a_mat=_readonly(cv_transition(self.delta)),
             h_mat=_readonly(MEASUREMENT_MATRIX.copy()),
             q_proc=_readonly(np.diag(self.q_diag).astype(float)),
             r_meas=_readonly(np.diag(self.r_diag).astype(float)),
         )
-        for name, mat in (("p_cov", p0), ("q_proc", model.q_proc),
-                          ("r_meas", model.r_meas)):
-            _check_psd(mat, name)
-        return CovNode(model, p0)
+        root = CovNode(model, np.diag(self.p0_diag).astype(float))
+        _check_psd(model.q_proc, "q_proc")
+        _check_psd(model.r_meas, "r_meas")
+        return root
 
 
 def cv_transition(delta: float) -> np.ndarray:
@@ -207,16 +186,16 @@ MEASUREMENT_MATRIX = np.array([
 
 def init_state(first_pos, cfg: PredictorConfig) -> KfState:
     """Filter for a newly seen user: measured position, zero velocity."""
+    root = cfg.cov_root
+    m = root.model
     x0 = np.array([float(first_pos[0]), float(first_pos[1]), 0.0, 0.0])
-    return KfState.on_node(x0, cfg.cov_root, updates=1)
+    return KfState(x0, root.p_cov, m.a_mat, m.h_mat, m.q_proc, m.r_meas,
+                   updates=1)
 
 
 def kf_predict(s: KfState) -> tuple[np.ndarray, np.ndarray]:
     """One-step-ahead state and covariance prediction."""
-    x_pred = s.a_mat @ s.x_hat
-    if s.node is not None:
-        return x_pred, s.node.p_pred
-    return x_pred, _predict_cov(s.a_mat, s.p_cov, s.q_proc)
+    return s.a_mat @ s.x_hat, _predict_cov(s.a_mat, s.p_cov, s.q_proc)
 
 
 def kf_update(s: KfState, x_pred: np.ndarray, p_pred: np.ndarray,
@@ -226,42 +205,22 @@ def kf_update(s: KfState, x_pred: np.ndarray, p_pred: np.ndarray,
     Raises SingularInnovation when the 2x2 innovation covariance is singular
     beyond tolerance 1e-12.
     """
-    z = np.asarray(z, dtype=float)
-    innovation = z - s.h_mat @ x_pred
-    # a state on a node, given that node's own prediction, takes the shared
-    # gain and successor; any other covariance is updated and checked here
-    if s.node is not None and p_pred is s.node.p_pred:
-        gain, node = s.node.update()
-        return KfState.on_node(x_pred + gain @ innovation, node, s.updates + 1)
+    innovation = np.asarray(z, dtype=float) - s.h_mat @ x_pred
     gain, p_new = _update_cov(s.h_mat, p_pred, s.r_meas)
     return KfState(x_pred + gain @ innovation, p_new, s.a_mat, s.h_mat,
                    s.q_proc, s.r_meas, s.updates + 1)
 
 
-def coast(s: KfState) -> KfState:
-    """Advance a filter one slot without a measurement."""
-    x_pred, p_pred = kf_predict(s)
-    if s.node is not None:
-        return KfState.on_node(x_pred, s.node.coast(), s.updates)
-    return KfState(x_pred, p_pred, s.a_mat, s.h_mat, s.q_proc, s.r_meas,
-                   s.updates)
-
-
-def signed_heading_angle(heading: float, displacement) -> float:
-    """Signed angle from the heading vector to a displacement, ccw positive."""
-    hx, hy = math.cos(heading), math.sin(heading)
-    dx, dy = float(displacement[0]), float(displacement[1])
-    return math.atan2(hx * dy - hy * dx, hx * dx + hy * dy)
-
-
 def classify_turn(current: VehicleState, predicted_pos,
                   theta_turn: float) -> Turn:
-    """Left/Right/Straight from the predicted displacement vs the heading."""
+    """Left/Right/Straight from the signed angle, ccw positive, between the
+    heading and the predicted displacement."""
     dx = float(predicted_pos[0]) - current.position[0]
     dy = float(predicted_pos[1]) - current.position[1]
     if dx == 0.0 and dy == 0.0:
         return Turn.STRAIGHT
-    phi = signed_heading_angle(current.heading, (dx, dy))
+    hx, hy = math.cos(current.heading), math.sin(current.heading)
+    phi = math.atan2(hx * dy - hy * dx, hx * dx + hy * dy)
     if phi > theta_turn:
         return Turn.LEFT
     if phi < -theta_turn:
@@ -292,47 +251,97 @@ def estimate_roi(current: VehicleState, turn: Turn, roi_height: float) -> Roi:
     return Roi(triangle=tri, turn=turn)
 
 
-@dataclass(frozen=True)
-class PredictorOutput:
-    predicted_pos: tuple[float, float]
-    turn: Turn
-    roi: Roi
-    state: KfState
+_STRAIGHT = Roi(triangle=None, turn=Turn.STRAIGHT)
 
 
-def run_predictor(trace, slot: int, kf_bank: Mapping[int, KfState],
-                  cfg: PredictorConfig,
-                  rng: Optional[np.random.Generator] = None) -> dict[int, PredictorOutput]:
-    """Advance every user present at the slot and classify its next movement.
+class FilterBank:
+    """The filters of every tracked user, one row each.
 
-    New users are initialized from their first measurement. Classification is
-    suppressed (Straight) until a filter has consumed ``warmup_slots``
-    measurements. Inputs are not mutated; callers merge the returned states
-    into their bank.
+    Row r tracks user ``uids[r]``: state ``x[r]`` ([px, py, vx, vy]) on the
+    shared covariance ``nodes[r]``, ``updates[r]`` measurement updates and
+    ``missed[r]`` slots since the last one. Per slot, ``run_predictor``
+    measures the rows present and ``coast`` advances the rest.
     """
+
+    def __init__(self, cfg: PredictorConfig):
+        self.cfg = cfg
+        self.uids = np.empty(0, dtype=np.int64)
+        self.x = np.empty((0, 4))
+        self.nodes = np.empty(0, dtype=object)  # CovNode per row
+        self.updates = np.empty(0, dtype=np.int64)
+        self.missed = np.empty(0, dtype=np.int64)
+
+
+def run_predictor(trace, slot: int, bank: FilterBank,
+                  rng: Optional[np.random.Generator] = None) -> dict[int, Roi]:
+    """Measure every user present at the slot and estimate its next ROI.
+
+    A known user's row takes one measurement update; a new user gets a row
+    at its first measurement with zero velocity. Every other row counts one
+    more missed slot. Classification is suppressed (Straight) until a filter
+    has consumed ``warmup_slots`` measurements.
+    """
+    cfg, model = bank.cfg, bank.cfg.cov_root.model
     record = trace.record_at(slot)
-    out: dict[int, PredictorOutput] = {}
-    if record is None:
-        return out
-    for state in record.states:
-        uid = state.user_id
-        z = np.array(state.position, dtype=float)
-        if cfg.measurement_noise_std > 0.0:
-            if rng is None:
-                raise ValueError("measurement noise enabled but no rng supplied")
-            z = z + rng.normal(0.0, cfg.measurement_noise_std, size=2)
-        prior = kf_bank.get(uid)
-        if prior is None:
-            kf = init_state(z, cfg)
-        else:
-            x_pred, p_pred = kf_predict(prior)
-            kf = kf_update(prior, x_pred, p_pred, z)
-        ahead = kf.a_mat @ kf.x_hat
-        predicted_pos = (float(ahead[0]), float(ahead[1]))
-        if kf.updates >= cfg.warmup_slots:
-            turn = classify_turn(state, predicted_pos, cfg.theta_turn)
-        else:
-            turn = Turn.STRAIGHT
-        roi = estimate_roi(state, turn, cfg.roi_height)
-        out[uid] = PredictorOutput(predicted_pos, turn, roi, kf)
+    states = record.states if record is not None else ()
+    z = np.array([s.position for s in states], dtype=float).reshape(-1, 2)
+    if states and cfg.measurement_noise_std > 0.0:
+        if rng is None:
+            raise ValueError("measurement noise enabled but no rng supplied")
+        z = z + rng.normal(0.0, cfg.measurement_noise_std, size=z.shape)
+
+    # known users ordered so that the rows on one covariance node, which share
+    # one gain, are contiguous; every gain comes first, so a singular
+    # innovation leaves the bank as it was
+    ids = np.array([s.user_id for s in states], dtype=np.int64)
+    row_of = {uid: r for r, uid in enumerate(bank.uids.tolist())}
+    rows = np.array([row_of.get(uid, -1) for uid in ids.tolist()], dtype=np.intp)
+    groups: dict[CovNode, list[int]] = {}
+    for i, row in enumerate(rows.tolist()):
+        if row >= 0:
+            groups.setdefault(bank.nodes[row], []).append(i)
+    steps = [(node.update(), len(members)) for node, members in groups.items()]
+    known = np.array([i for members in groups.values() for i in members], dtype=np.intp)
+    known_rows = rows[known]
+    x_new = bank.x[known_rows] @ model.a_mat.T
+    innovation = z[known] - x_new @ model.h_mat.T
+    start = 0
+    for (gain, node), size in steps:
+        x_new[start:start + size] += innovation[start:start + size] @ gain.T
+        bank.nodes[known_rows[start:start + size]] = node
+        start += size
+    bank.x[known_rows] = x_new
+    bank.updates[known_rows] += 1
+
+    new = np.flatnonzero(rows < 0)
+    rows[new] = len(bank.uids) + np.arange(len(new))
+    bank.uids = np.concatenate([bank.uids, ids[new]])
+    bank.x = np.concatenate([bank.x, np.hstack([z[new], np.zeros((len(new), 2))])])
+    bank.nodes = np.concatenate([bank.nodes, np.full(len(new), cfg.cov_root)])
+    bank.updates = np.concatenate([bank.updates, np.ones(len(new), dtype=np.int64)])
+    bank.missed = np.concatenate([bank.missed + 1, np.zeros(len(new), dtype=np.int64)])
+    bank.missed[rows] = 0
+
+    out: dict[int, Roi] = {}
+    warm = (bank.updates[rows] >= cfg.warmup_slots).tolist()
+    ahead = (bank.x[rows] @ model.a_mat.T)[:, :2].tolist()
+    for state, is_warm, predicted_pos in zip(states, warm, ahead):
+        turn = (classify_turn(state, predicted_pos, cfg.theta_turn)
+                if is_warm else Turn.STRAIGHT)
+        out[state.user_id] = (_STRAIGHT if turn is Turn.STRAIGHT
+                              else estimate_roi(state, turn, cfg.roi_height))
     return out
+
+
+def coast(bank: FilterBank) -> None:
+    """Advance every row missed in this slot one step without a measurement.
+
+    A row missed for more than ``coast_slots`` slots is dropped, so its user
+    starts over when it is measured again.
+    """
+    keep = bank.missed <= bank.cfg.coast_slots
+    for name in ("uids", "x", "nodes", "updates", "missed"):
+        setattr(bank, name, getattr(bank, name)[keep])
+    rows = np.flatnonzero(bank.missed > 0)
+    bank.x[rows] = bank.x[rows] @ bank.cfg.cov_root.model.a_mat.T
+    bank.nodes[rows] = [node.coast() for node in bank.nodes[rows]]

@@ -5,13 +5,12 @@ the users predicted to turn into the offloading queue, builds the quadratic
 knapsack instance over that queue (pairwise quality, capacity bound,
 comm-range eligibility, latency data), solves it with the selected scheme,
 applies the repair passes, and records the metrics. Filters of users absent
-from a slot coast without measurements for a few slots before being reset.
+from a slot coast without measurements for a few slots before being dropped.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
-import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -22,12 +21,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .baselines import solve_cpto, solve_go
-from .config import EXPERIMENT_KEYS, RunConfig, SCHEMES
+from .config import EXPERIMENT_KEYS, RunConfig, SCHEMES, sweep_threads
 from .geometry import EpochRasters, GridSpec, build_quality_matrix, fov_triangle
 from .latency import worker_capacity
 from .metrics import EpochReport, RunReport, epoch_metrics, run_aggregate
 from .model import Assignment, Roi, TaskProfile, Turn, User, VehicleState, Worker
-from .predict import PredictorConfig, coast, run_predictor
+from .predict import (FilterBank, PredictorConfig, coast, estimate_roi,
+                      run_predictor)
 from .qmkp import QmkpInstance, evaluate_objective, repair_deadline
 from .solve_exact import solve_exact
 from .solve_heur import HeurConfig, solve_heuristic
@@ -57,6 +57,7 @@ def predictor_config(cfg: RunConfig) -> PredictorConfig:
         theta_turn=math.radians(p.theta_turn_deg),
         warmup_slots=p.warmup_slots, roi_height=p.roi_height_m,
         measurement_noise_std=p.measurement_noise_std,
+        coast_slots=p.coast_slots,
     )
 
 
@@ -232,29 +233,15 @@ def run_simulation(trace: Trace, workers: Sequence[Worker], scheme: str,
     users = build_users(trace.user_ids(), workers, cfg, seed + 2)
     noise_rng = np.random.default_rng(seed + 3)
 
-    banks: dict[int, object] = {}
-    missed: dict[int, int] = {}
-    coast_slots = cfg.predictor.coast_slots
+    bank = FilterBank(pcfg)
     epochs: list[EpochLog] = []
 
     for rec in trace.records:
         slot = rec.slot
         with _epoch_errors(slot):
-            outputs = run_predictor(trace, slot, banks, pcfg, noise_rng)
-            for uid in list(banks):
-                if uid not in outputs:
-                    missed[uid] = missed.get(uid, 0) + 1
-                    if missed[uid] > coast_slots:
-                        del banks[uid]
-                        missed.pop(uid, None)
-                    else:
-                        banks[uid] = coast(banks[uid])
-        for uid, out in outputs.items():
-            banks[uid] = out.state
-            missed[uid] = 0
-
+            rois = run_predictor(trace, slot, bank, noise_rng)
+            coast(bank)
         states = {s.user_id: s for s in rec.states}
-        rois = {uid: out.roi for uid, out in outputs.items()}
         ctx = build_epoch(slot, rois, states, users, workers, cfg, gspec)
         with _epoch_errors(slot):
             t0 = time.perf_counter()
@@ -288,8 +275,6 @@ def make_synthetic_instance(n_users: int, seed: int,
     Mirrors the geometry of the synthetic scenario; used for solver scaling
     studies at a fixed instance size.
     """
-    from .predict import estimate_roi
-
     cfg = cfg or RunConfig()
     rng = random.Random(seed)
     gspec = grid_spec(cfg)
@@ -340,12 +325,12 @@ def sweep(experiment: str, grid: Sequence, seeds: Sequence[int],
     """One run per (grid value, scheme, seed); canonical result order.
 
     The QCPTO_THREADS environment variable caps process parallelism;
-    unset or 1 runs sequentially.
+    unset, empty or 1 runs sequentially.
     """
     schemes = list(schemes if schemes is not None else cfg.sweep.schemes)
     jobs = [(experiment, value, scheme, seed, cfg)
             for value in grid for scheme in schemes for seed in seeds]
-    threads = int(os.environ.get("QCPTO_THREADS", "1") or "1")
+    threads = sweep_threads()
     if threads > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             records = list(pool.map(_sweep_job, jobs))

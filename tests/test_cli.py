@@ -292,3 +292,25 @@ def test_run_negative_seed_override_exits_1(tmp_path, capsys):
     assert main(["run", "--seed", "-1", "--out", str(out)]) == 1
     assert "seed" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5"])
+def test_run_bad_threads_env_exits_1_before_writing(tmp_path, capsys,
+                                                    monkeypatch, threads):
+    doc = small_config_doc(sweep={"experiment": "UserCount", "grid": [4],
+                                  "seeds": [0], "schemes": ["go"]})
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "r"
+    monkeypatch.setenv("QCPTO_THREADS", threads)
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    assert "QCPTO_THREADS" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_empty_threads_env_means_one(tmp_path, monkeypatch):
+    doc = small_config_doc(sweep={"experiment": "UserCount", "grid": [4],
+                                  "seeds": [0], "schemes": ["go"]})
+    cfg = write_config(tmp_path, doc)
+    monkeypatch.setenv("QCPTO_THREADS", "")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+    assert (tmp_path / "r" / "sweep.json").exists()

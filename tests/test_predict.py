@@ -6,9 +6,9 @@ import pytest
 
 from qcpto.errors import SingularInnovation
 from qcpto.model import Turn, VehicleState
-from qcpto.predict import (KfState, PredictorConfig, classify_turn, coast,
-                           cv_transition, estimate_roi, init_state, kf_predict,
-                           kf_update, run_predictor)
+from qcpto.predict import (FilterBank, KfState, PredictorConfig, classify_turn,
+                           coast, cv_transition, estimate_roi, init_state,
+                           kf_predict, kf_update, run_predictor)
 from qcpto.trace import ScenarioConfig, synth_intersection
 
 
@@ -178,17 +178,13 @@ def test_estimate_roi_rotation_equivariance_and_area():
 
 
 def run_flags(trace, cfg=PredictorConfig()):
-    banks = {}
+    bank = FilterBank(cfg)
     flags = []
     for rec in trace.records:
-        outs = run_predictor(trace, rec.slot, banks, cfg)
-        for uid in list(banks):
-            if uid not in outs:
-                banks[uid] = coast(banks[uid])
-        for uid, out in outs.items():
-            banks[uid] = out.state
-            if out.turn is not Turn.STRAIGHT:
-                flags.append((rec.slot, uid, out.turn))
+        rois = run_predictor(trace, rec.slot, bank)
+        coast(bank)
+        flags += [(rec.slot, uid, roi.turn) for uid, roi in rois.items()
+                  if roi.turn is not Turn.STRAIGHT]
     return flags
 
 
@@ -229,4 +225,6 @@ def test_left_turner_flagged_left():
 def test_run_predictor_empty_slot():
     trace = synth_intersection(
         ScenarioConfig(n_vehicles=0, recirculate=False), 1)
-    assert run_predictor(trace, trace.records[0].slot, {}, PredictorConfig()) == {}
+    bank = FilterBank(PredictorConfig())
+    assert run_predictor(trace, trace.records[0].slot, bank) == {}
+    assert len(bank.uids) == 0

@@ -1,9 +1,10 @@
-"""The shared covariance tree against a filter that checks every step.
+"""The filter bank against a filter that checks every step.
 
 The reference below is the per-vehicle filter written out in full: every
 step builds a new, fully checked ``KfState`` with its own covariance. The
-predictor shares covariances between filters with the same update/coast
-history, and must reproduce the reference bit for bit.
+bank keeps its filters as array rows that share covariances between filters
+with the same update/coast history, and must reproduce the reference bit for
+bit.
 """
 import dataclasses
 import random
@@ -14,13 +15,11 @@ import pytest
 from qcpto.config import RunConfig
 from qcpto.errors import SingularInnovation
 from qcpto.model import Turn, VehicleState
-from qcpto.predict import (MEASUREMENT_MATRIX, KfState, PredictorConfig,
-                           PredictorOutput, classify_turn, coast,
+from qcpto.predict import (MEASUREMENT_MATRIX, FilterBank, KfState,
+                           PredictorConfig, classify_turn, coast,
                            cv_transition, estimate_roi, run_predictor)
 from qcpto.sim import default_workers, run_simulation, scenario_config
 from qcpto.trace import ScenarioConfig, SlotRecord, Trace, synth_intersection
-
-COAST_SLOTS = RunConfig().predictor.coast_slots
 
 
 def ref_init(z, cfg):
@@ -55,6 +54,7 @@ def ref_coast(s):
 
 
 def ref_run_predictor(trace, slot, bank, cfg, rng):
+    """Step each user present at the slot: {uid: (filter, roi)}."""
     out = {}
     record = trace.record_at(slot)
     if record is None:
@@ -73,29 +73,37 @@ def ref_run_predictor(trace, slot, bank, cfg, rng):
         predicted_pos = (float(ahead[0]), float(ahead[1]))
         turn = (classify_turn(state, predicted_pos, cfg.theta_turn)
                 if kf.updates >= cfg.warmup_slots else Turn.STRAIGHT)
-        out[state.user_id] = PredictorOutput(
-            predicted_pos, turn, estimate_roi(state, turn, cfg.roi_height), kf)
+        out[state.user_id] = (kf, estimate_roi(state, turn, cfg.roi_height))
     return out
 
 
-def drive(trace, cfg, step, coast_fn, seed=0):
-    """Yield (slot, outputs, bank) per slot, coasting absent users as sim does."""
-    rng = np.random.default_rng(seed)
-    bank, missed = {}, {}
+def drive(trace, cfg, seed=0):
+    """Run the bank and the reference side by side, one slot at a time.
+
+    Yields (slot, rois, want, bank, ref): the bank's ROIs, the reference's
+    (filter, roi) per measured user, and after coasting a reference filter
+    for every bank row, stepped from that row's previous reference filter.
+    Which rows the bank keeps is its own decision; the tests check it.
+    """
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    bank, ref = FilterBank(cfg), {}
     for rec in trace.records:
-        outputs = step(trace, rec.slot, bank, cfg, rng)
-        for uid in list(bank):
-            if uid not in outputs:
-                missed[uid] = missed.get(uid, 0) + 1
-                if missed[uid] > COAST_SLOTS:
-                    del bank[uid]
-                    missed.pop(uid, None)
-                else:
-                    bank[uid] = coast_fn(bank[uid])
-        for uid, out in outputs.items():
-            bank[uid] = out.state
-            missed[uid] = 0
-        yield rec.slot, outputs, bank
+        try:
+            want = ref_run_predictor(trace, rec.slot, ref, cfg, ref_rng)
+        except SingularInnovation as exc:
+            # the bank fails in the same slot with the same message
+            with pytest.raises(SingularInnovation) as info:
+                run_predictor(trace, rec.slot, bank, rng)
+            assert str(info.value) == str(exc)
+            raise
+        try:
+            rois = run_predictor(trace, rec.slot, bank, rng)
+        except SingularInnovation as exc:
+            pytest.fail(f"slot {rec.slot}: only the bank failed: {exc}")
+        coast(bank)
+        ref = {uid: want[uid][0] if uid in want else ref_coast(ref[uid])
+               for uid in bank.uids.tolist()}
+        yield rec.slot, rois, want, bank, ref
 
 
 def gappy(trace, drop, seed):
@@ -106,79 +114,92 @@ def gappy(trace, drop, seed):
         for rec in trace.records))
 
 
-# (vehicles, drop probability): the synthetic traces never bring a filter back
-# within coast_slots; the gappy ones do, so coast-then-update runs
-TRACES = [(200, 0.0), (40, 0.0), (200, 0.1), (200, 0.3)]
+def check_bank(trace, cfg):
+    """Compare the bank with the reference on every slot of a trace.
 
-
-@pytest.mark.parametrize("n_vehicles, drop", TRACES)
-@pytest.mark.parametrize("noise_std", [0.0, 0.5])
-def test_shared_covariances_match_checked_reference(n_vehicles, drop, noise_std):
-    trace = gappy(synth_intersection(ScenarioConfig(n_vehicles=n_vehicles), 8000),
-                  drop, 8001)
-    cfg = PredictorConfig(measurement_noise_std=noise_std)
+    Returns the filter-slots seen, the distinct update/coast histories and
+    the filters measured again after coasting.
+    """
     steps = resumes = 0
-    prev = set()
-    history, shared = {}, {}
-    for (slot, got, bank), (_, want, ref_bank) in zip(
-            drive(trace, cfg, run_predictor, coast),
-            drive(trace, cfg, ref_run_predictor, ref_coast)):
-        assert got.keys() == want.keys(), slot
-        # a filter measured again after coasting continues its updates
-        resumes += sum(1 for uid, g in got.items()
-                       if uid not in prev and g.state.updates > 1)
-        prev = set(got)
-        for uid, g in got.items():
-            w = want[uid]
-            assert np.array_equal(g.state.x_hat, w.state.x_hat), (slot, uid)
-            assert np.array_equal(g.state.p_cov, w.state.p_cov), (slot, uid)
-            assert g.state.updates == w.state.updates
-            assert g.predicted_pos == w.predicted_pos, (slot, uid)
-            assert g.turn is w.turn, (slot, uid)
-        assert bank.keys() == ref_bank.keys(), slot
-        for uid, s in bank.items():
-            assert np.array_equal(s.x_hat, ref_bank[uid].x_hat), (slot, uid)
-            assert np.array_equal(s.p_cov, ref_bank[uid].p_cov), (slot, uid)
-            if uid not in got:
+    last_seen, history, shared = {}, {}, {}
+    for slot, rois, want, bank, ref in drive(trace, cfg):
+        assert rois == {uid: roi for uid, (_, roi) in want.items()}, slot
+        last_seen.update(dict.fromkeys(rois, slot))
+        # a row is dropped once missed for more than coast_slots slots
+        assert set(bank.uids.tolist()) == {uid for uid, seen in last_seen.items()
+                                           if slot - seen <= cfg.coast_slots}, slot
+        for row, uid in enumerate(bank.uids.tolist()):
+            kf, node = ref[uid], bank.nodes[row]
+            assert np.array_equal(bank.x[row], kf.x_hat), (slot, uid)
+            assert np.array_equal(node.p_cov, kf.p_cov), (slot, uid)
+            assert bank.updates[row] == kf.updates, (slot, uid)
+            assert bank.missed[row] == slot - last_seen[uid], (slot, uid)
+            if uid not in rois:
                 history[uid] = (history[uid], "coast")
-            elif s.updates == 1:
+            elif kf.updates == 1:
                 history[uid] = ("init",)
             else:
+                # a filter measured again after coasting continues its updates
+                resumes += history[uid][-1] == "coast"
                 history[uid] = (history[uid], "update")
-            # every filter with the same history holds the same covariance object
-            assert shared.setdefault(history[uid], id(s.p_cov)) == id(s.p_cov)
-        steps += len(bank)
+            # every filter with the same history holds the same covariance node
+            assert shared.setdefault(history[uid], node) is node
+        steps += len(bank.uids)
+    return steps, len(shared), resumes
+
+
+@pytest.mark.parametrize("noise_std", [0.0, 0.5])
+def test_shared_covariances_match_checked_reference(noise_std):
+    trace = synth_intersection(ScenarioConfig(n_vehicles=200), 8000)
+    cfg = PredictorConfig(measurement_noise_std=noise_std)
+    steps, histories, resumes = check_bank(trace, cfg)
+    assert steps > 5000
+    # the synthetic traces never bring a filter back within coast_slots
+    assert resumes == 0
+    assert histories * 50 < steps
+
+
+# (vehicles, probability of dropping each state): the dropped states bring
+# filters back after coasting, so coast-then-update runs
+@pytest.mark.parametrize("n_vehicles, drop", [(40, 0.0), (200, 0.1), (200, 0.3)])
+@pytest.mark.parametrize("noise_std", [0.0, 0.5])
+def test_bank_matches_checked_reference_on_small_and_gappy_traces(n_vehicles, drop, noise_std):
+    trace = gappy(synth_intersection(ScenarioConfig(n_vehicles=n_vehicles), 8000),
+                  drop, 8001)
+    steps, _, resumes = check_bank(trace, PredictorConfig(measurement_noise_std=noise_std))
     assert steps > 20 * n_vehicles
-    if drop:
-        assert resumes > 0
-    else:
-        assert resumes == 0 and len(shared) * 25 < steps
+    assert (resumes > 0) == (drop > 0)
 
 
-@pytest.mark.parametrize("absent", [COAST_SLOTS, COAST_SLOTS + 1])
-def test_filter_resumes_within_coast_slots_and_restarts_after(absent):
+@pytest.mark.parametrize("beyond", [0, 1])
+def test_filter_resumes_within_coast_slots_and_restarts_after(beyond):
     # one user driving east at 10 m/s, measured for four slots, then absent
-    # for ``absent`` slots, then measured again
+    # for coast_slots (+1) slots, then measured again
+    cfg = PredictorConfig()
+    absent = cfg.coast_slots + beyond
     seen = list(range(4)) + [4 + absent]
     trace = Trace(tuple(
         SlotRecord(t, (VehicleState(7, (10.0 * t, 5.0), 0.0, 10.0, t),)
                    if t in seen else ())
         for t in range(5 + absent)))
-    cfg = PredictorConfig()
-    for slot, _, bank in drive(trace, cfg, run_predictor, coast):
-        if slot in seen:
-            kf = bank[7]
-        elif slot - 3 <= COAST_SLOTS:
-            assert bank[7].updates == 4, slot  # coasting keeps the count
-        else:
-            assert 7 not in bank, slot
+    bank = FilterBank(cfg)
+    for slot in range(seen[-1]):
+        run_predictor(trace, slot, bank)
+        coast(bank)
+        kept = slot - 3 <= cfg.coast_slots
+        assert bank.uids.tolist() == ([7] if kept else []), slot
+        # coasting keeps the update count
+        assert bank.updates.tolist() == ([min(slot + 1, 4)] if kept else []), slot
+    run_predictor(trace, seen[-1], bank)
+    coast(bank)
+    assert bank.uids.tolist() == [7]
     z = [10.0 * seen[-1], 5.0]
-    if absent <= COAST_SLOTS:
-        assert kf.updates == 5
-        assert not np.array_equal(kf.x_hat, [*z, 0.0, 0.0])
+    if beyond:
+        assert bank.updates[0] == 1
+        assert np.array_equal(bank.x[0], [*z, 0.0, 0.0])
     else:
-        assert kf.updates == 1
-        assert np.array_equal(kf.x_hat, [*z, 0.0, 0.0])
+        assert bank.updates[0] == 5
+        assert not np.array_equal(bank.x[0], [*z, 0.0, 0.0])
 
 
 def test_singular_innovation_raised_in_same_epoch_with_same_message():
@@ -188,17 +209,13 @@ def test_singular_innovation_raised_in_same_epoch_with_same_message():
     trace = synth_intersection(scenario_config(cfg), 4)
     pcfg = PredictorConfig(q_diag=(0, 0, 0, 0), r_diag=(0, 0))
 
-    def fail_slot(step, coast_fn):
-        slot = None
-        with pytest.raises(SingularInnovation) as info:
-            for slot, _, _ in drive(trace, pcfg, step, coast_fn):
-                pass
-        return slot, str(info.value)
-
-    ref_slot, ref_msg = fail_slot(ref_run_predictor, ref_coast)
-    slot, msg = fail_slot(run_predictor, coast)
-    assert (slot, msg) == (ref_slot, ref_msg)
-    assert msg.startswith("innovation covariance is singular")
+    # drive checks that the bank fails in the reference's slot with its message
+    ref_slot = None
+    with pytest.raises(SingularInnovation) as info:
+        for ref_slot, *_ in drive(trace, pcfg):
+            pass
+    ref_msg = str(info.value)
+    assert ref_msg.startswith("innovation covariance is singular")
 
     # the failing epoch is the record after the last completed one
     slots = [rec.slot for rec in trace.records]

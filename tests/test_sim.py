@@ -6,7 +6,7 @@ import pytest
 
 from qcpto.config import RunConfig, ScenarioSection, SweepSection
 from qcpto.model import Assignment
-from qcpto.predict import coast, run_predictor
+from qcpto.predict import FilterBank, coast, run_predictor
 from qcpto.sim import (build_epoch, build_users, default_workers, grid_spec,
                        make_synthetic_instance, predictor_config, run_scenario,
                        run_simulation, scenario_config, solve_epoch, sweep)
@@ -49,17 +49,12 @@ def test_pipeline_matches_independent_solver_call():
     pcfg = predictor_config(cfg)
     gspec = grid_spec(cfg)
     users = build_users(trace.user_ids(), workers, cfg, 2 + 2)
-    banks = {}
+    bank = FilterBank(pcfg)
     checked = 0
     for rec in trace.records:
-        outs = run_predictor(trace, rec.slot, banks, pcfg)
-        for uid in list(banks):
-            if uid not in outs:
-                banks[uid] = coast(banks[uid])
-        for uid, out in outs.items():
-            banks[uid] = out.state
+        rois = run_predictor(trace, rec.slot, bank)
+        coast(bank)
         states = {s.user_id: s for s in rec.states}
-        rois = {uid: out.roi for uid, out in outs.items()}
         ctx = build_epoch(rec.slot, rois, states, users, workers, cfg, gspec)
         log = epochs[rec.slot - trace.first_slot]
         assert log.queue == ctx.queue_ids
