@@ -4,10 +4,8 @@ from .baselines import solve_cpto, solve_go
 from .geometry import (EpochRasters, GridSpec, OccupancyGrid, QualityMatrix,
                        build_quality_matrix, detected_awareness, fov_triangle,
                        rasterize_triangle, shared_interest)
-from .latency import compute_delay, transmit_delay, worker_capacity
 from .metrics import EpochReport, RunReport, epoch_metrics, run_aggregate
-from .model import (Assignment, Roi, TaskProfile, Turn, User, VehicleState,
-                    Worker)
+from .model import Assignment, Roi, Turn, VehicleState, Worker
 from .predict import (FilterBank, KfState, PredictorConfig, classify_turn,
                       estimate_roi, kf_predict, kf_update, run_predictor)
 from .qmkp import (QmkpInstance, Solution, check_feasible, enumerate_optimal,

@@ -43,17 +43,20 @@ def _write_epochs_csv(path: Path, epochs) -> None:
 
 def cmd_run(config_path: str | None, scheme: str | None, seed: int | None,
             out_dir: str) -> int:
+    source = config_path or "defaults"  # what the error below came from
     try:
         cfg = load_config(config_path) if config_path else RunConfig()
+        source = "command line"
         if seed is not None:
             cfg = dataclasses.replace(cfg, seed=seed)
         if scheme is not None:
             solver = dataclasses.replace(cfg.solver, scheme=scheme)
             cfg = dataclasses.replace(cfg, solver=solver)
         validate_config(cfg)  # the overrides are checked like the file
+        source = "environment"
         sweep_threads()
     except ConfigError as exc:
-        print(f"config error ({config_path}): {exc}", file=sys.stderr)
+        print(f"config error ({source}): {exc}", file=sys.stderr)
         return 1
 
     out = Path(out_dir)
@@ -144,15 +147,28 @@ def cmd_plotdata(results_dir: str, out_dir: str) -> int:
         if not src.exists():
             raise MissingResults(f"no sweep.json under {results_dir}")
         doc = json.loads(src.read_text(encoding="utf-8"))
-        records = doc.get("records", [])
+        records = doc.get("records") if isinstance(doc, dict) else None
         if not records:
             raise MissingResults(f"{src} holds no records")
+        tables = _plot_tables(records)
     except MissingResults as exc:
         print(f"missing results: {exc}", file=sys.stderr)
+        return 2
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:  # incl. JSONDecodeError
+        print(f"results error: {src} does not hold sweep records "
+              f"({type(exc).__name__}: {exc})", file=sys.stderr)
         return 2
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for name, text in tables.items():
+        (out / name).write_text(text, encoding="utf-8")
+    return 0
+
+
+def _plot_tables(records: list[dict]) -> dict[str, str]:
+    """One tidy CSV text per experiment, keyed by its file name."""
+    tables = {}
     by_experiment: dict[str, list[dict]] = {}
     for rec in records:
         by_experiment.setdefault(rec["experiment"], []).append(rec)
@@ -174,8 +190,8 @@ def cmd_plotdata(results_dir: str, out_dir: str) -> int:
                 mean, lo, hi = _ci95(bucket[metric])
                 lines.append(f"{value},{scheme},{metric},{mean!r},{lo!r},{hi!r}")
         name = _EXPERIMENT_FILES.get(experiment, f"{experiment.lower()}.csv")
-        (out / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return 0
+        tables[name] = "\n".join(lines) + "\n"
+    return tables
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -80,7 +80,6 @@ class SolverSection:
     alpha: float = 0.3
     max_iters: int = 500
     patience: int = 100
-    regen_alpha_each_iter: bool = False
 
 
 @dataclass(frozen=True)
@@ -264,8 +263,6 @@ def _check_solver(s: SolverSection) -> None:
     for key, low in (("node_budget", 1), ("max_iters", 0), ("patience", 1)):
         value = getattr(s, key)
         _require(_is_int(value, low), f"solver.{key}", f"an integer >= {low}", value)
-    _require(isinstance(s.regen_alpha_each_iter, bool),
-             "solver.regen_alpha_each_iter", "true or false", s.regen_alpha_each_iter)
 
 
 def _check_sweep(w: SweepSection, s: ScenarioSection) -> None:

@@ -46,26 +46,6 @@ class VehicleState:
 
 
 @dataclass(frozen=True)
-class TaskProfile:
-    """Computation and communication demand of one perception task."""
-
-    workload_l: float         # CPU cycles
-    frame_size_lambda: float  # bits
-    deadline_kappa: float     # seconds
-
-
-@dataclass(frozen=True)
-class User:
-    """A requesting vehicle with its task and sensor footprint."""
-
-    id: int
-    task: TaskProfile
-    data_rate: Mapping[int, float]  # worker id -> bits/s
-    fov_range: float                # meters
-    fov_half_angle: float           # rad, apex half-angle of the sensor triangle
-
-
-@dataclass(frozen=True)
 class Worker:
     """An edge server attached to a roadside unit."""
 

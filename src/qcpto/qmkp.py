@@ -3,7 +3,11 @@
 An instance holds the pairwise quality matrix, per-worker capacities, and
 optionally the latency data needed for density sorting and strict deadline
 checks. Every user weighs one unit, so a capacity is the number of
-collaborators a worker may host, derived from the deadline bound.
+collaborators a worker may host. ``QmkpInstance.from_task`` derives both
+from the offloading model: user i's response latency on worker j, shared by
+eta users, is l * eta / C_j + lambda / R_ij (computation plus uplink;
+propagation and the returned result are negligible), and worker j hosts at
+most floor(kappa * C_j / l) users.
 
 The exhaustive enumerator here is the correctness oracle for the exact
 solver: it scores every feasible assignment by brute force and never shares
@@ -22,6 +26,8 @@ from .errors import DomainError
 from .geometry import QualityMatrix
 from .model import Assignment
 
+_LATENCY_FIELDS = ("workload", "cpu", "transmit", "kappa")
+
 
 @dataclass(frozen=True)
 class QmkpInstance:
@@ -36,8 +42,8 @@ class QmkpInstance:
 
     def __post_init__(self):
         caps = tuple(float(c) for c in self.capacity)
-        if any(c < 0 for c in caps):
-            raise ValueError("capacities must be >= 0")
+        if not all(0 <= c < math.inf for c in caps):
+            raise ValueError(f"capacities must be finite and >= 0, got {caps}")
         object.__setattr__(self, "capacity", caps)
         n, m = self.n, self.m
         for name, shape in (("allowed", (n, m)), ("distance", (n, m)),
@@ -50,6 +56,37 @@ class QmkpInstance:
                     raise ValueError(f"{name} must have shape {shape}")
                 arr.setflags(write=False)
                 object.__setattr__(self, name, arr)
+        latency = [getattr(self, name) for name in _LATENCY_FIELDS]
+        if all(arr is None for arr in latency):
+            return
+        if any(arr is None for arr in latency):
+            raise ValueError(f"latency data needs all of {', '.join(_LATENCY_FIELDS)}")
+        for name, arr in zip(_LATENCY_FIELDS, latency):
+            positive = name == "cpu"  # a worker without CPU never finishes
+            in_domain = arr > 0 if positive else arr >= 0
+            if not (np.isfinite(arr) & in_domain).all():
+                raise DomainError(f"{name} must be finite and {'>' if positive else '>='} 0, "
+                                  f"got {arr.min()!r}")
+
+    @classmethod
+    def from_task(cls, quality: QualityMatrix, cpu, rates, workload: float,
+                  frame_bits: float, deadline: float,
+                  allowed: Optional[np.ndarray] = None,
+                  distance: Optional[np.ndarray] = None) -> "QmkpInstance":
+        """Instance of n users that all offload one task (l, lambda, kappa).
+
+        ``cpu`` is C_j (cycles/s) per worker and ``rates`` R_ij (bits/s) per
+        user and worker. Worker j hosts at most floor(kappa * C_j / l) users,
+        the most equal shares of its CPU that each finish an l-cycle task by
+        the deadline; user i's uplink time to worker j is lambda / R_ij.
+        """
+        cpu = np.asarray(cpu, dtype=float)
+        n = quality.n
+        return cls(quality, capacity=np.floor(deadline * cpu / workload),
+                   allowed=allowed, distance=distance,
+                   workload=np.full(n, float(workload)), cpu=cpu,
+                   transmit=frame_bits / np.asarray(rates, dtype=float),
+                   kappa=np.full(n, float(deadline)))
 
     @property
     def n(self) -> int:
@@ -61,8 +98,7 @@ class QmkpInstance:
 
     @property
     def has_latency(self) -> bool:
-        return (self.workload is not None and self.cpu is not None
-                and self.transmit is not None)
+        return self.workload is not None
 
     def is_allowed(self, i: int, j: int) -> bool:
         return True if self.allowed is None else bool(self.allowed[i, j])
@@ -126,7 +162,7 @@ def check_feasible(assignment: Assignment, inst: QmkpInstance,
             violations.append(f"user {u} does not exist")
         elif not inst.is_allowed(u, j):
             violations.append(f"user {u} not eligible for worker {j}")
-    if strict_deadline and inst.has_latency and inst.kappa is not None:
+    if strict_deadline and inst.has_latency:
         for u, j in assignment.items():
             t = inst.latency_of(u, j, eta[j])
             if t > float(inst.kappa[u]) + 1e-12:
@@ -152,7 +188,7 @@ def repair_deadline(assignment: Assignment, inst: QmkpInstance,
     minimum finish with a min-pair pass; baselines that ignore that
     constraint pass ``enforce_min_pair=False``.
     """
-    if not inst.has_latency or inst.kappa is None:
+    if not inst.has_latency:
         return repair_min_pair(assignment) if enforce_min_pair else assignment
     q = inst.quality.q
     current = assignment

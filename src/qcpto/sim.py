@@ -23,9 +23,8 @@ import numpy as np
 from .baselines import solve_cpto, solve_go
 from .config import EXPERIMENT_KEYS, RunConfig, SCHEMES, sweep_threads
 from .geometry import EpochRasters, GridSpec, build_quality_matrix, fov_triangle
-from .latency import worker_capacity
 from .metrics import EpochReport, RunReport, epoch_metrics, run_aggregate
-from .model import Assignment, Roi, TaskProfile, Turn, User, VehicleState, Worker
+from .model import Assignment, Roi, Turn, VehicleState, Worker
 from .predict import (FilterBank, PredictorConfig, coast, estimate_roi,
                       run_predictor)
 from .qmkp import QmkpInstance, evaluate_objective, repair_deadline
@@ -96,27 +95,13 @@ def default_workers(cfg: RunConfig, seed: int) -> list[Worker]:
     return workers
 
 
-def build_users(user_ids: Sequence[int], workers: Sequence[Worker],
-                cfg: RunConfig, seed: int) -> dict[int, User]:
-    """Users with the configured task profile and seeded per-worker data rates."""
-    sc = cfg.scenario
-    geo = cfg.geometry
-    task = TaskProfile(workload_l=sc.workload_cycles,
-                       frame_size_lambda=sc.frame_bits,
-                       deadline_kappa=sc.deadline_s)
-    rng = np.random.default_rng(seed)
-    lo, hi = sc.rate_mbps
+def draw_rates(user_ids: Sequence[int], n_workers: int, cfg: RunConfig,
+               seed: int) -> dict[int, np.ndarray]:
+    """Seeded uplink rates R_ij (bits/s) to each worker, one row per user id."""
+    lo, hi = cfg.scenario.rate_mbps
     ids = sorted(user_ids)
-    rates = rng.uniform(lo * 1e6, hi * 1e6, size=(len(ids), len(workers)))
-    users = {}
-    for row, uid in enumerate(ids):
-        users[uid] = User(
-            id=uid, task=task,
-            data_rate={w.id: float(rates[row, k]) for k, w in enumerate(workers)},
-            fov_range=geo.fov_range_m,
-            fov_half_angle=math.radians(geo.fov_half_angle_deg),
-        )
-    return users
+    rng = np.random.default_rng(seed)
+    return dict(zip(ids, rng.uniform(lo * 1e6, hi * 1e6, size=(len(ids), n_workers))))
 
 
 @dataclass(frozen=True)
@@ -132,41 +117,34 @@ class EpochContext:
     rasters: Optional[EpochRasters]
 
 
-def build_epoch(slot: int, rois: dict[int, Roi], states: dict, users: dict,
-                workers: Sequence[Worker], cfg: RunConfig,
-                gspec: GridSpec) -> EpochContext:
-    """Assemble the offloading instance for the users whose ROI follows a turn."""
+def build_epoch(slot: int, rois: dict[int, Roi], states: dict,
+                rates: dict[int, np.ndarray], workers: Sequence[Worker],
+                cfg: RunConfig, gspec: GridSpec) -> EpochContext:
+    """Assemble the offloading instance for the users whose ROI follows a turn.
+
+    ``rates`` maps each user id to its uplink rates to ``workers``.
+    """
     queue_ids = tuple(sorted(uid for uid, roi in rois.items()
                              if roi.turn is not Turn.STRAIGHT))
     rois = {uid: rois[uid] for uid in queue_ids}
-    fovs = {uid: fov_triangle(states[uid], users[uid].fov_range,
-                              users[uid].fov_half_angle) for uid in queue_ids}
+    geo = cfg.geometry
+    half_angle = math.radians(geo.fov_half_angle_deg)
+    fovs = {uid: fov_triangle(states[uid], geo.fov_range_m, half_angle)
+            for uid in queue_ids}
     if not queue_ids:
         return EpochContext(slot, queue_ids, rois, fovs, None, None)
 
     rasters = EpochRasters(queue_ids, rois, fovs, gspec)
-    quality = build_quality_matrix(rasters, mode=cfg.geometry.pair_mode)
-    n, m = len(queue_ids), len(workers)
-    l_bar = sum(users[u].task.workload_l for u in queue_ids) / n
-    kappa_bar = sum(users[u].task.deadline_kappa for u in queue_ids) / n
-    caps = tuple(float(worker_capacity(kappa_bar, w.cpu_capacity, l_bar))
-                 for w in workers)
-    allowed = np.zeros((n, m), dtype=bool)
-    dist = np.zeros((n, m))
-    transmit = np.zeros((n, m))
-    for i, uid in enumerate(queue_ids):
-        ux, uy = states[uid].position
-        for j, w in enumerate(workers):
-            d = math.hypot(ux - w.position[0], uy - w.position[1])
-            dist[i, j] = d
-            allowed[i, j] = d <= w.comm_range
-            transmit[i, j] = users[uid].task.frame_size_lambda / users[uid].data_rate[w.id]
-    inst = QmkpInstance(
-        quality=quality, capacity=caps, allowed=allowed, distance=dist,
-        workload=np.array([users[u].task.workload_l for u in queue_ids]),
-        cpu=np.array([w.cpu_capacity for w in workers]), transmit=transmit,
-        kappa=np.array([users[u].task.deadline_kappa for u in queue_ids]),
-    )
+    quality = build_quality_matrix(rasters, mode=geo.pair_mode)
+    # math.hypot per pair: np.hypot rounds differently in the last bit
+    dist = np.array([[math.hypot(x - w.position[0], y - w.position[1]) for w in workers]
+                     for x, y in (states[uid].position for uid in queue_ids)])
+    sc = cfg.scenario
+    inst = QmkpInstance.from_task(
+        quality, cpu=[w.cpu_capacity for w in workers],
+        rates=[rates[uid] for uid in queue_ids], workload=sc.workload_cycles,
+        frame_bits=sc.frame_bits, deadline=sc.deadline_s,
+        allowed=dist <= np.array([w.comm_range for w in workers]), distance=dist)
     return EpochContext(slot, queue_ids, rois, fovs, inst, rasters)
 
 
@@ -187,8 +165,7 @@ def solve_epoch(ctx: EpochContext, scheme: str, cfg: RunConfig,
         a = solve_exact(inst, budget=sol_cfg.node_budget).assignment
     elif scheme == "heuristic":
         heur = HeurConfig(alpha=sol_cfg.alpha, max_iters=sol_cfg.max_iters,
-                          patience=sol_cfg.patience, seed=seed,
-                          regen_alpha_each_iter=sol_cfg.regen_alpha_each_iter)
+                          patience=sol_cfg.patience, seed=seed)
         a = solve_heuristic(inst, heur).assignment
     elif scheme == "go":
         a = solve_go(inst)
@@ -230,7 +207,7 @@ def run_simulation(trace: Trace, workers: Sequence[Worker], scheme: str,
 
     pcfg = predictor_config(cfg)
     gspec = grid_spec(cfg)
-    users = build_users(trace.user_ids(), workers, cfg, seed + 2)
+    rates = draw_rates(trace.user_ids(), len(workers), cfg, seed + 2)
     noise_rng = np.random.default_rng(seed + 3)
 
     bank = FilterBank(pcfg)
@@ -242,7 +219,7 @@ def run_simulation(trace: Trace, workers: Sequence[Worker], scheme: str,
             rois = run_predictor(trace, slot, bank, noise_rng)
             coast(bank)
         states = {s.user_id: s for s in rec.states}
-        ctx = build_epoch(slot, rois, states, users, workers, cfg, gspec)
+        ctx = build_epoch(slot, rois, states, rates, workers, cfg, gspec)
         with _epoch_errors(slot):
             t0 = time.perf_counter()
             inst_assignment = solve_epoch(ctx, scheme, cfg, seed * 1_000_003 + slot)
@@ -290,8 +267,8 @@ def make_synthetic_instance(n_users: int, seed: int,
         states[uid] = st
         turn = Turn.LEFT if rng.random() < 0.5 else Turn.RIGHT
         rois[uid] = estimate_roi(st, turn, cfg.predictor.roi_height_m)
-    users = build_users(range(n_users), workers, cfg, seed + 2)
-    ctx = build_epoch(0, rois, states, users, workers, cfg, gspec)
+    rates = draw_rates(range(n_users), len(workers), cfg, seed + 2)
+    ctx = build_epoch(0, rois, states, rates, workers, cfg, gspec)
     assert ctx.instance is not None
     return ctx.instance
 

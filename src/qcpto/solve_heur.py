@@ -40,7 +40,6 @@ class HeurConfig:
                                   # (the search also stops once the best solution
                                   # realizes every pair)
     seed: int = 0
-    regen_alpha_each_iter: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -188,14 +187,9 @@ def solve_heuristic(inst: QmkpInstance, cfg: HeurConfig) -> Solution:
         if best_obj >= ceiling:
             break
         iters += 1
-        if cfg.regen_alpha_each_iter:
-            alpha = rng.random()
-            while alpha == 0.0:
-                alpha = rng.random()
-        else:
-            # reactive radius: stagnation widens the drop fraction so the
-            # walk can leave basins the base perturbation cannot escape
-            alpha = min(0.95, cfg.alpha * (1.0 + no_improve / 20.0))
+        # reactive radius: stagnation widens the drop fraction so the
+        # walk can leave basins the base perturbation cannot escape
+        alpha = min(0.95, cfg.alpha * (1.0 + no_improve / 20.0))
         # the fingerprint memory tracks raw completions so the walk keeps
         # exploring; on a hit, perturb again with shuffled completions
         raw = fix_and_complete(current, alpha, rng, inst)

@@ -5,7 +5,6 @@ lines. The random corpora are seeded, so every number asserted here is
 reproducible.
 """
 import json
-import math
 import random
 import time
 import numpy as np
@@ -13,11 +12,11 @@ import pytest
 
 from qcpto.cli import main
 from qcpto.config import RunConfig
-from qcpto.geometry import (EpochRasters, GridSpec, build_quality_matrix,
-                            detected_awareness, rasterize_triangle, shared_interest)
-from qcpto.latency import compute_delay, transmit_delay, worker_capacity
+from qcpto.geometry import (EpochRasters, GridSpec, QualityMatrix,
+                            build_quality_matrix, detected_awareness,
+                            rasterize_triangle, shared_interest)
 from qcpto.metrics import epoch_metrics
-from qcpto.model import Assignment, Roi, TaskProfile, Turn, User, Worker
+from qcpto.model import Assignment, Roi, Turn, Worker
 from qcpto.predict import KfState, PredictorConfig, init_state, kf_predict, kf_update
 from qcpto.qmkp import QmkpInstance, enumerate_optimal, random_instance
 from qcpto.sim import make_synthetic_instance, run_scenario
@@ -106,9 +105,14 @@ def test_criterion_4_metric_dominance():
 
 
 def test_criterion_5_latency_arithmetic():
-    assert compute_delay(2e8, 2e9, 4) == pytest.approx(0.4, abs=1e-12)
-    assert transmit_delay(2e5, 1.5e7) == pytest.approx(0.013333333333, abs=1e-9)
-    assert worker_capacity(0.4, 2e9, 2e8) == 4
+    # one user, one 2 GHz worker at 15 Mbit/s; task of 2e8 cycles, 2e5 bits, 0.4 s
+    inst = QmkpInstance.from_task(QualityMatrix(np.zeros((1, 1))), cpu=[2e9],
+                                  rates=[[1.5e7]], workload=2e8, frame_bits=2e5,
+                                  deadline=0.4)
+    transmit = float(inst.transmit[0, 0])
+    assert inst.latency_of(0, 0, 4) - transmit == pytest.approx(0.4, abs=1e-12)
+    assert transmit == pytest.approx(0.013333333333, abs=1e-9)
+    assert inst.capacity == (4,)
     print("\n[PASS] criterion 5: latency arithmetic matches hand-derived values")
 
 
@@ -227,17 +231,14 @@ def test_criterion_9_monotonicity(heuristic_runs):
     workers = [Worker(0, (0.0, 0.0), 2e9, 200.0)]
     rng = random.Random(3)
     for _ in range(100):
-        users = [User(i, TaskProfile(2e8, 2e5, 0.4), {0: 1.5e7}, 20.0,
-                      math.pi / 6) for i in range(4)]
         rois = {i: Roi(triangle=small, turn=Turn.LEFT) for i in range(4)}
         fovs = {i: (big if rng.random() < 0.5 else far) for i in range(4)}
         a = Assignment({0: 0, 1: 0}) if rng.random() < 0.5 else Assignment.empty()
         bank = EpochRasters(range(4), rois, fovs, grid)
-        inst = QmkpInstance(build_quality_matrix(bank), capacity=(4,),
-                            workload=[u.task.workload_l for u in users],
-                            cpu=[workers[0].cpu_capacity],
-                            transmit=[[u.task.frame_size_lambda / u.data_rate[0]]
-                                      for u in users])
+        inst = QmkpInstance.from_task(build_quality_matrix(bank),
+                                      cpu=[workers[0].cpu_capacity],
+                                      rates=np.full((4, 1), 1.5e7), workload=2e8,
+                                      frame_bits=2e5, deadline=0.4)
         ratios = [epoch_metrics(0, bank, inst, a, [Turn.LEFT] * 4, len(workers),
                                 phi=phi).satisfaction_ratio
                   for phi in (0.0, 0.25, 0.5, 0.75, 1.0)]

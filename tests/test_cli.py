@@ -150,6 +150,38 @@ def test_plotdata_missing_results(tmp_path, capsys):
     assert "missing results" in capsys.readouterr().err
 
 
+def test_plotdata_truncated_sweep_json_is_a_results_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, sweep_config_doc())
+    res = tmp_path / "sweepres"
+    assert main(["run", "--config", cfg, "--out", str(res)]) == 0
+    sweep = res / "sweep.json"
+    sweep.write_text(sweep.read_text()[:200], encoding="utf-8")
+    plots = tmp_path / "plots"
+    assert main(["plotdata", "--results", str(res), "--out", str(plots)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"results error: {sweep} ") and "JSONDecodeError" in err
+    assert not plots.exists()
+
+
+@pytest.mark.parametrize("field", ["value", "report"])
+def test_plotdata_record_without_a_field_is_a_results_error(tmp_path, capsys, field):
+    record = {"experiment": "UserCount", "value": 8, "scheme": "go", "seed": 0,
+              "report": {m: {"mean": 0.5} for m in
+                         ("awareness", "delay", "intensity", "satisfaction")}}
+    res = tmp_path / "res"
+    res.mkdir()
+    sweep = res / "sweep.json"
+    sweep.write_text(json.dumps({"records": [record]}), encoding="utf-8")
+    assert main(["plotdata", "--results", str(res), "--out", str(tmp_path / "ok")]) == 0
+    del record[field]
+    sweep.write_text(json.dumps({"records": [record]}), encoding="utf-8")
+    plots = tmp_path / "plots"
+    assert main(["plotdata", "--results", str(res), "--out", str(plots)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"results error: {sweep} ") and "KeyError" in err
+    assert not plots.exists()
+
+
 def test_config_round_trip_dict():
     cfg = RunConfig()
     doc = config_to_dict(cfg)
@@ -275,7 +307,7 @@ def test_run_bad_scenario_value_exits_1(tmp_path, capsys, key, value, experiment
     ("node_budget", 0),
     ("memory_capacity", 0),  # a removed key, rejected as unknown
     ("strict_deadline", "yes"),  # a removed key, rejected as unknown
-    ("regen_alpha_each_iter", 1),
+    ("regen_alpha_each_iter", 1),  # a removed key, rejected as unknown
     ("latency_weights", True),
     ("go_worker_order", "farthest"),
 ])
@@ -290,7 +322,8 @@ def test_run_bad_solver_value_exits_1(tmp_path, capsys, key, value):
 def test_run_negative_seed_override_exits_1(tmp_path, capsys):
     out = tmp_path / "r"
     assert main(["run", "--seed", "-1", "--out", str(out)]) == 1
-    assert "seed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error (command line): seed must be")
     assert not out.exists()
 
 
@@ -303,7 +336,7 @@ def test_run_bad_threads_env_exits_1_before_writing(tmp_path, capsys,
     out = tmp_path / "r"
     monkeypatch.setenv("QCPTO_THREADS", threads)
     assert main(["run", "--config", cfg, "--out", str(out)]) == 1
-    assert "QCPTO_THREADS" in capsys.readouterr().err
+    assert "config error (environment): QCPTO_THREADS" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -138,7 +138,7 @@ def instances(draw, max_n=8, max_m=3, latency=True):
 
 heur_configs = st.builds(HeurConfig, alpha=st.floats(0.05, 0.95),
                          max_iters=st.integers(0, 80), patience=st.integers(1, 30),
-                         seed=st.integers(0, 2**16), regen_alpha_each_iter=st.booleans())
+                         seed=st.integers(0, 2**16))
 
 
 @settings(FUZZ, max_examples=150)

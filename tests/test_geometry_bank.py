@@ -14,7 +14,7 @@ from qcpto.config import RunConfig, ScenarioSection, SolverSection
 from qcpto.geometry import (EpochRasters, GridSpec, build_quality_matrix,
                             rasterize_triangle)
 from qcpto.metrics import epoch_metrics
-from qcpto.model import Assignment, Roi, TaskProfile, Turn, User, Worker
+from qcpto.model import Assignment, Roi, Turn, Worker
 from qcpto.qmkp import QmkpInstance
 
 GRID50 = GridSpec(0.0, 0.0, 1.0, 50, 50)
@@ -57,19 +57,11 @@ def random_queue(rng):
     return ids, rois, fovs
 
 
-def make_user(uid):
-    return User(uid, TaskProfile(2e8, 2e5, 0.4), {w.id: 1.5e7 for w in WORKERS},
-                20.0, math.pi / 6)
-
-
 def queue_instance(bank, ids):
-    users = [make_user(u) for u in ids]
-    return QmkpInstance(
-        build_quality_matrix(bank), capacity=(len(ids),) * len(WORKERS),
-        workload=[u.task.workload_l for u in users],
-        cpu=[w.cpu_capacity for w in WORKERS],
-        transmit=[[u.task.frame_size_lambda / u.data_rate[w.id] for w in WORKERS]
-                  for u in users])
+    return QmkpInstance.from_task(
+        build_quality_matrix(bank), cpu=[w.cpu_capacity for w in WORKERS],
+        rates=np.full((len(ids), len(WORKERS)), 1.5e7), workload=2e8,
+        frame_bits=2e5, deadline=0.4)
 
 
 def test_random_queues_match_oracles(monkeypatch):

@@ -1,49 +1,40 @@
+"""The latency model l * eta / C + lambda / R and the capacity floor(kappa * C / l),
+both derived in one place: ``QmkpInstance.from_task``."""
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 
 from qcpto import geometry, sim
 from qcpto.config import RunConfig, ScenarioSection
 from qcpto.errors import DomainError
-from qcpto.latency import compute_delay, transmit_delay, worker_capacity
+from qcpto.geometry import QualityMatrix
+from qcpto.qmkp import QmkpInstance
 
 
-def test_compute_delay_reference_values():
-    assert compute_delay(2e8, 2e9, 1) == pytest.approx(0.1)
-    assert compute_delay(2e8, 2e9, 4) == pytest.approx(0.4)
-    assert compute_delay(0.0, 2e9, 3) == 0.0
+def one_user(workload=2e8, cpu=(2e9,), rate=1.5e7, frame_bits=2e5, deadline=0.4):
+    """A one-user instance of the default task on the given workers."""
+    return QmkpInstance.from_task(QualityMatrix(np.zeros((1, 1))), cpu=cpu,
+                                  rates=[[rate] * len(cpu)], workload=workload,
+                                  frame_bits=frame_bits, deadline=deadline)
 
 
-def test_compute_delay_domain_errors():
-    with pytest.raises(DomainError):
-        compute_delay(2e8, 0.0, 1)
-    with pytest.raises(DomainError):
-        compute_delay(2e8, 2e9, 0)
+def test_compute_time_reference_values():
+    inst = one_user(frame_bits=0.0)
+    assert inst.latency_of(0, 0, 1) == pytest.approx(0.1)
+    assert inst.latency_of(0, 0, 4) == pytest.approx(0.4)
 
 
-def test_transmit_delay_reference_values():
-    assert transmit_delay(2e5, 1.5e7) == pytest.approx(0.0133333333, abs=1e-9)
-    assert transmit_delay(0.0, 1.5e7) == 0.0
-    assert transmit_delay(2e5, 3e7) == pytest.approx(transmit_delay(2e5, 1.5e7) / 2)
+def test_transmit_time_reference_values():
+    assert one_user().transmit[0, 0] == pytest.approx(0.0133333333, abs=1e-9)
+    assert one_user(frame_bits=0.0).transmit[0, 0] == 0.0
+    assert one_user(rate=3e7).transmit[0, 0] == pytest.approx(one_user().transmit[0, 0] / 2)
 
 
-def test_transmit_delay_domain_error():
-    with pytest.raises(DomainError):
-        transmit_delay(2e5, 0.0)
-
-
-def test_worker_capacity_reference_values():
-    assert worker_capacity(0.4, 2e9, 2e8) == 4
-    assert worker_capacity(0.4, 3e9, 2e8) == 6
-    assert worker_capacity(0.4, 4e8, 2e8) == 0  # kappa*C below one task
-
-
-def test_worker_capacity_domain_error():
-    with pytest.raises(DomainError):
-        worker_capacity(0.0, 2e9, 2e8)
-    with pytest.raises(DomainError):
-        worker_capacity(0.4, 2e9, -1.0)
+def test_capacity_bound_reference_values():
+    inst = one_user(cpu=(2e9, 3e9, 4e8))
+    assert inst.capacity == (4, 6, 0)  # 4e8 * 0.4 s is below one task
 
 
 def test_delay_scaling_properties():
@@ -52,11 +43,54 @@ def test_delay_scaling_properties():
         l = rng.uniform(1e7, 1e9)
         c = rng.uniform(1e9, 5e9)
         eta = rng.randrange(1, 10)
-        base = compute_delay(l, c, eta)
-        assert compute_delay(2 * l, c, eta) == pytest.approx(2 * base)
-        assert compute_delay(l, c, 2 * eta) == pytest.approx(2 * base)
+        base = one_user(workload=l, cpu=(c,), frame_bits=0.0).latency_of(0, 0, eta)
+        assert one_user(workload=2 * l, cpu=(c,), frame_bits=0.0).latency_of(
+            0, 0, eta) == pytest.approx(2 * base)
+        assert one_user(workload=l, cpu=(c,), frame_bits=0.0).latency_of(
+            0, 0, 2 * eta) == pytest.approx(2 * base)
         lam, r = rng.uniform(1e4, 1e6), rng.uniform(1e6, 1e8)
-        assert transmit_delay(lam, r) == pytest.approx(lam / r)
+        assert one_user(rate=r, frame_bits=lam).transmit[0, 0] == lam / r
+
+
+def test_instance_rejects_partial_latency_data():
+    full = {"workload": np.full(2, 2e8), "cpu": np.full(1, 2e9),
+            "transmit": np.full((2, 1), 0.01), "kappa": np.full(2, 0.4)}
+    q = QualityMatrix(np.zeros((2, 2)))
+    assert QmkpInstance(q, capacity=(2,), **full).has_latency
+    for name in full:
+        partial = {k: v for k, v in full.items() if k != name}
+        with pytest.raises(ValueError, match="latency data needs all of"):
+            QmkpInstance(q, capacity=(2,), **partial)
+
+
+def test_instance_rejects_zero_cpu():
+    with pytest.raises(DomainError, match="cpu"):
+        one_user(cpu=(2e9, 0.0))
+
+
+def test_instance_rejects_negative_or_infinite_transmit():
+    with pytest.raises(DomainError, match="transmit"):
+        QmkpInstance(QualityMatrix(np.zeros((1, 1))), capacity=(1,),
+                     workload=[2e8], cpu=[2e9], transmit=[[-0.01]], kappa=[0.4])
+    with pytest.raises(DomainError, match="transmit"):
+        one_user(frame_bits=-2e5)
+    with pytest.raises(DomainError, match="transmit"), np.errstate(divide="ignore"):
+        one_user(rate=0.0)  # a zero rate never delivers the frame
+
+
+def test_capacity_needs_a_positive_workload():
+    with pytest.raises(ValueError, match="capacities"):
+        one_user(workload=-2e8)
+
+
+def test_build_epoch_capacity_is_the_deadline_bound_for_every_queue_size():
+    # floor(kappa * C / l) slots on the default 3, 4 and 5 GHz workers, whatever
+    # the queue size (a mean of n equal deadlines can round below kappa)
+    cfg = RunConfig()
+    want = tuple({3e9: 6, 4e9: 8, 5e9: 10}[w.cpu_capacity]
+                 for w in sim.default_workers(cfg, 1))
+    for n in range(1, 61):
+        assert sim.make_synthetic_instance(n, seed=0, cfg=cfg).capacity == want, n
 
 
 @pytest.mark.parametrize("n_vehicles, scheme", [(40, "heuristic"), (200, "go"),

@@ -1,25 +1,18 @@
-import math
 import random
 
+import numpy as np
 import pytest
 
 from qcpto.errors import EmptyRun
 from qcpto.geometry import EpochRasters, GridSpec, build_quality_matrix
 from qcpto.metrics import epoch_metrics, run_aggregate
-from qcpto.model import Assignment, Roi, TaskProfile, Turn, User, Worker
+from qcpto.model import Assignment, Roi, Turn, Worker
 from qcpto.qmkp import QmkpInstance
 
 GRID = GridSpec(0.0, 0.0, 1.0, 50, 50)
 BIG = ((0.0, 0.0), (49.0, 0.0), (25.0, 49.0))          # covers most of the grid
 SMALL = ((10.0, 10.0), (14.0, 10.0), (12.0, 14.0))     # small roi well inside BIG
 FAR = ((40.0, 40.0), (45.0, 40.0), (42.0, 45.0))       # disjoint from SMALL
-
-
-def make_user(uid, rate=1.5e7):
-    return User(uid, TaskProfile(2e8, 2e5, 0.4), {0: rate, 1: rate}, 20.0,
-                math.pi / 6)
-
-
 WORKERS = [Worker(0, (0.0, 0.0), 2e9, 200.0), Worker(1, (50.0, 50.0), 2e9, 200.0)]
 
 
@@ -27,25 +20,22 @@ def roi(tri):
     return Roi(triangle=tri, turn=Turn.LEFT)
 
 
-def score(assignment, rois, fovs, users, **kwargs):
+def score(assignment, rois, fovs, ids, **kwargs):
     """Metrics on the bank and instance of a queue whose ids are its rows."""
-    ids = [u.id for u in users]
     bank = EpochRasters(ids, rois, fovs, GRID)
-    inst = QmkpInstance(
-        build_quality_matrix(bank), capacity=(len(ids),) * len(WORKERS),
-        workload=[u.task.workload_l for u in users],
-        cpu=[w.cpu_capacity for w in WORKERS],
-        transmit=[[u.task.frame_size_lambda / u.data_rate[w.id] for w in WORKERS]
-                  for u in users])
+    inst = QmkpInstance.from_task(
+        build_quality_matrix(bank), cpu=[w.cpu_capacity for w in WORKERS],
+        rates=np.full((len(ids), len(WORKERS)), 1.5e7), workload=2e8,
+        frame_bits=2e5, deadline=0.4)
     return epoch_metrics(0, bank, inst, assignment, [rois[u].turn for u in ids],
                          len(WORKERS), **kwargs)
 
 
 def test_unassigned_users_score_own_coverage():
-    users = [make_user(0), make_user(1)]
+    ids = [0, 1]
     rois = {0: roi(SMALL), 1: roi(SMALL)}
     fovs = {0: BIG, 1: FAR}  # user 0 self-covers, user 1 does not
-    report = score(Assignment.empty(), rois, fovs, users, phi=0.35)
+    report = score(Assignment.empty(), rois, fovs, ids, phi=0.35)
     assert report.records[0].awareness == 1.0
     assert report.records[1].awareness == 0.0
     assert report.satisfaction_ratio == 0.5
@@ -54,11 +44,11 @@ def test_unassigned_users_score_own_coverage():
 
 
 def test_full_cover_on_one_worker():
-    users = [make_user(0), make_user(1)]
+    ids = [0, 1]
     rois = {0: roi(SMALL), 1: roi(SMALL)}
     fovs = {0: BIG, 1: BIG}
     a = Assignment({0: 0, 1: 0})
-    report = score(a, rois, fovs, users, phi=0.35)
+    report = score(a, rois, fovs, ids, phi=0.35)
     assert report.mean_awareness == 1.0
     assert report.satisfaction_ratio == 1.0
     assert report.n_assigned == 2
@@ -67,11 +57,11 @@ def test_full_cover_on_one_worker():
 
 
 def test_perception_intensity_counts_per_deployed_worker():
-    users = [make_user(i) for i in range(5)]
+    ids = list(range(5))
     rois = {i: roi(SMALL) for i in range(5)}
     fovs = {i: BIG for i in range(5)}
     a = Assignment({0: 0, 1: 0, 2: 1, 3: 1, 4: 1})
-    report = score(a, rois, fovs, users)
+    report = score(a, rois, fovs, ids)
     assert report.eta == ((0, 2), (1, 3))
     assert report.perception_intensity == pytest.approx(2.5)
 
@@ -85,32 +75,32 @@ def test_empty_queue_is_nan_free():
 
 
 def test_assigned_only_flag_restricts_scope():
-    users = [make_user(0), make_user(1)]
+    ids = [0, 1]
     rois = {0: roi(SMALL), 1: roi(SMALL)}
     fovs = {0: BIG, 1: BIG}
     a = Assignment.empty()
-    scoped = score(a, rois, fovs, users, assigned_only=True)
+    scoped = score(a, rois, fovs, ids, assigned_only=True)
     assert scoped.mean_awareness == 0.0 and scoped.satisfaction_ratio == 0.0
 
 
 def test_satisfaction_monotone_in_phi():
     rng = random.Random(71)
     for _ in range(100):
-        users = [make_user(i) for i in range(4)]
+        ids = list(range(4))
         rois = {i: roi(SMALL) for i in range(4)}
         fovs = {i: (BIG if rng.random() < 0.5 else FAR) for i in range(4)}
         a = Assignment({0: 0, 1: 0}) if rng.random() < 0.5 else Assignment.empty()
-        ratios = [score(a, rois, fovs, users, phi=phi).satisfaction_ratio
+        ratios = [score(a, rois, fovs, ids, phi=phi).satisfaction_ratio
                   for phi in (0.1, 0.35, 0.6, 0.9)]
         assert all(x >= y for x, y in zip(ratios, ratios[1:]))
 
 
 def test_aggregates_recomputable_from_records():
-    users = [make_user(i) for i in range(3)]
+    ids = list(range(3))
     rois = {i: roi(SMALL) for i in range(3)}
     fovs = {0: BIG, 1: FAR, 2: BIG}
     a = Assignment({0: 0, 1: 0})
-    report = score(a, rois, fovs, users, phi=0.35)
+    report = score(a, rois, fovs, ids, phi=0.35)
     assert report.mean_awareness == pytest.approx(
         sum(r.awareness for r in report.records) / 3)
     served = [r for r in report.records if r.worker_id is not None]
@@ -121,10 +111,10 @@ def test_aggregates_recomputable_from_records():
 
 
 def epoch_with(mean_aware):
-    users = [make_user(0)]
+    ids = [0]
     rois = {0: roi(SMALL)}
     fovs = {0: BIG if mean_aware else FAR}
-    return score(Assignment.empty(), rois, fovs, users)
+    return score(Assignment.empty(), rois, fovs, ids)
 
 
 def test_run_aggregate_single_and_identical_epochs():

@@ -7,7 +7,7 @@ import pytest
 from qcpto.config import RunConfig, ScenarioSection, SweepSection
 from qcpto.model import Assignment
 from qcpto.predict import FilterBank, coast, run_predictor
-from qcpto.sim import (build_epoch, build_users, default_workers, grid_spec,
+from qcpto.sim import (build_epoch, default_workers, draw_rates, grid_spec,
                        make_synthetic_instance, predictor_config, run_scenario,
                        run_simulation, scenario_config, solve_epoch, sweep)
 from qcpto.trace import Trace, synth_intersection
@@ -48,14 +48,14 @@ def test_pipeline_matches_independent_solver_call():
     # rebuild the epoch contexts independently and re-solve
     pcfg = predictor_config(cfg)
     gspec = grid_spec(cfg)
-    users = build_users(trace.user_ids(), workers, cfg, 2 + 2)
+    rates = draw_rates(trace.user_ids(), len(workers), cfg, 2 + 2)
     bank = FilterBank(pcfg)
     checked = 0
     for rec in trace.records:
         rois = run_predictor(trace, rec.slot, bank)
         coast(bank)
         states = {s.user_id: s for s in rec.states}
-        ctx = build_epoch(rec.slot, rois, states, users, workers, cfg, gspec)
+        ctx = build_epoch(rec.slot, rois, states, rates, workers, cfg, gspec)
         log = epochs[rec.slot - trace.first_slot]
         assert log.queue == ctx.queue_ids
         if ctx.instance is not None and len(ctx.queue_ids) >= 3:
@@ -109,14 +109,14 @@ def test_default_workers_layout():
     assert all(w.cpu_capacity in allowed for w in workers)
 
 
-def test_build_users_rates_within_range():
+def test_draw_rates_within_range():
     cfg = RunConfig()
-    workers = default_workers(cfg, 0)
-    users = build_users(range(10), workers, cfg, 2)
+    rates = draw_rates(range(10), 8, cfg, 2)
     lo, hi = cfg.scenario.rate_mbps
-    for u in users.values():
-        assert len(u.data_rate) == len(workers)
-        assert all(lo * 1e6 <= r <= hi * 1e6 for r in u.data_rate.values())
+    assert sorted(rates) == list(range(10))
+    for row in rates.values():
+        assert row.shape == (8,)
+        assert all(lo * 1e6 <= r <= hi * 1e6 for r in row)
 
 
 def test_make_synthetic_instance_shape():

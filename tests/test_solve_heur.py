@@ -42,7 +42,7 @@ def test_density_cases():
 
     def inst(workload):
         return QmkpInstance(q, capacity=(2.0,), workload=np.array(workload),
-                            cpu=np.ones(1), transmit=np.zeros((3, 1)))
+                            cpu=np.ones(1), transmit=np.zeros((3, 1)), kappa=np.ones(3))
 
     assert greedy_bin_packing(QmkpInstance(q, capacity=(2.0,))) == [0, 0, -1]
     # densities 1.0/0.1, 0.5/0.2 and 0.5/0.1: user 2 is faster than user 1
