@@ -6,16 +6,14 @@ from .geometry import (EpochRasters, GridSpec, OccupancyGrid, QualityMatrix,
                        rasterize_triangle, shared_interest)
 from .metrics import EpochReport, RunReport, epoch_metrics, run_aggregate
 from .model import Assignment, Roi, Turn, VehicleState, Worker
-from .predict import (FilterBank, KfState, PredictorConfig, classify_turn,
-                      estimate_roi, kf_predict, kf_update, run_predictor)
+from .predict import (FilterBank, KfState, classify_turn, estimate_roi,
+                      kf_predict, kf_update, run_predictor)
 from .qmkp import (QmkpInstance, Solution, check_feasible, enumerate_optimal,
                    evaluate_objective, instance_from_json, instance_to_json,
                    random_instance, repair_deadline, repair_min_pair)
 from .solve_exact import solve_exact
-from .solve_heur import (HeurConfig, fix_and_complete, greedy_bin_packing,
-                         solve_heuristic)
-from .trace import (ScenarioConfig, Trace, load_trace, save_trace,
-                    synth_intersection)
+from .solve_heur import fix_and_complete, greedy_bin_packing, solve_heuristic
+from .trace import Trace, load_trace, save_trace, synth_intersection
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -18,12 +18,12 @@ import numpy as np
 from scipy import stats
 
 from . import sim
-from .config import (RunConfig, SCHEMES, config_to_dict, load_config,
-                     sweep_threads, validate_config)
+from .config import (RunConfig, SCHEMES, SolverSection, config_to_dict,
+                     load_config, sweep_threads, validate_config)
 from .errors import ConfigError, MissingResults
 from .qmkp import enumerate_optimal, instance_to_json, random_instance
 from .solve_exact import solve_exact
-from .solve_heur import HeurConfig, solve_heuristic
+from .solve_heur import solve_heuristic
 
 
 def _write_json(path: Path, doc) -> None:
@@ -55,7 +55,7 @@ def cmd_run(config_path: str | None, scheme: str | None, seed: int | None,
         validate_config(cfg)  # the overrides are checked like the file
         source = "environment"
         sweep_threads()
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # OSError: an unreadable config file
         print(f"config error ({source}): {exc}", file=sys.stderr)
         return 1
 
@@ -103,7 +103,7 @@ def cmd_oracle(n: int, m: int, count: int, seed: int, out_dir: str) -> int:
         inst = random_instance(rng, max_n=n, max_m=m)
         enum_sol = enumerate_optimal(inst)
         exact_sol = solve_exact(inst)
-        heur_sol = solve_heuristic(inst, HeurConfig(seed=seed + idx))
+        heur_sol = solve_heuristic(inst, SolverSection(), seed + idx)
         mismatch = int(exact_sol.objective != enum_sol.objective)
         if mismatch:
             mismatches += 1
@@ -153,6 +153,10 @@ def cmd_plotdata(results_dir: str, out_dir: str) -> int:
         tables = _plot_tables(records)
     except MissingResults as exc:
         print(f"missing results: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"results error: cannot read {src} ({type(exc).__name__}: {exc})",
+              file=sys.stderr)
         return 2
     except (ValueError, KeyError, TypeError, AttributeError) as exc:  # incl. JSONDecodeError
         print(f"results error: {src} does not hold sweep records "

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .errors import ConfigError
 from .geometry import GridSpec
-from .trace import ScenarioConfig, check_routes
+from .trace import check_routes
 
 SCHEMES = ("exact", "heuristic", "go", "cpto")
 # the scenario key each sweep experiment sets to its grid values
@@ -26,20 +26,21 @@ EXPERIMENTS = tuple(EXPERIMENT_KEYS)
 
 @dataclass(frozen=True)
 class ScenarioSection:
+    # the synthetic four-way intersection (trace.synth_intersection)
     region_w: float = 200.0
     region_h: float = 200.0
     lanes_per_direction: int = 2
     lane_width: float = 3.5
     max_speed_kmh: float = 40.0
     duration_s: float = 60.0
-    delta_s: float = 1.0
+    delta_s: float = 1.0  # slot length, also the predictor's time step
     arc_radius_m: float = 8.0
     n_vehicles: int = 40
-    turn_probs: tuple = (1 / 3, 1 / 3, 1 / 3)
+    turn_probs: tuple = (1 / 3, 1 / 3, 1 / 3)  # left, right, straight
     spawn_window_frac: float = 1 / 3
     speed_frac: tuple = (0.7, 1.0)
-    turn_speed_frac: float = 0.5
-    slow_margin_m: float = 4.0
+    turn_speed_frac: float = 0.5  # cruise fraction while negotiating the arc
+    slow_margin_m: float = 4.0    # slow zone extends this far beyond the arc
     heading_settle_slots: float = 3.0
     spawn_jitter_m: float = 5.0
     # perception task and infrastructure parameters
@@ -61,8 +62,8 @@ class PredictorSection:
     theta_turn_deg: float = 15.0
     warmup_slots: int = 3
     roi_height_m: float = 10.0
-    measurement_noise_std: float = 0.0
-    coast_slots: int = 3
+    measurement_noise_std: float = 0.0  # optional additive noise, off by default
+    coast_slots: int = 3  # slots a filter coasts unmeasured before it is dropped
 
 
 @dataclass(frozen=True)
@@ -77,9 +78,12 @@ class GeometrySection:
 class SolverSection:
     scheme: str = "heuristic"
     node_budget: int = 2_000_000
-    alpha: float = 0.3
+    # heuristic search
+    alpha: float = 0.3      # fraction of assigned users dropped per perturbation
     max_iters: int = 500
-    patience: int = 100
+    patience: int = 100     # iterations without improvement before stopping
+                            # (the search also stops once the best solution
+                            # realizes every pair)
 
 
 @dataclass(frozen=True)
@@ -207,10 +211,7 @@ def _check_scenario(s: ScenarioSection) -> None:
     _require(s.duration_s / s.delta_s > 0.5, "scenario.delta_s",
              f"less than twice scenario.duration_s ({s.duration_s!r})", s.delta_s)
     try:  # every turn's arc must fit between the region boundary and its lane
-        check_routes(ScenarioConfig(
-            region_w=s.region_w, region_h=s.region_h,
-            lanes_per_direction=s.lanes_per_direction, lane_width=s.lane_width,
-            arc_radius=s.arc_radius_m))
+        check_routes(s)
     except ConfigError as exc:
         raise ConfigError(
             f"scenario.arc_radius_m {s.arc_radius_m!r} with {s.lanes_per_direction} "
@@ -304,7 +305,7 @@ def load_config(path) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON is UTF-8
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     return config_from_dict(doc)
 

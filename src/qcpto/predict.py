@@ -8,25 +8,29 @@ predicted displacement classifies the next movement as a left turn, a right
 turn, or straight driving; turning users get a triangular region of interest
 pointing sideways from their heading.
 
-Every filter of one predictor config shares A, H, Q and R, so its covariance,
-one-step predicted covariance and gain depend only on its history of
-measurement updates and coasts, never on the measured data. They live in a
-tree of ``CovNode`` objects owned by the ``PredictorConfig``: the root holds
-P0, and each node is computed and PSD-checked once, on first use, then shared
-by every filter with that history. A ``FilterBank`` holds the tracked users
-as rows: a state vector, its node, an update count and a missed-slot count.
+Every filter of one bank shares A, H, Q and R, so its covariance, one-step
+predicted covariance and gain depend only on its history of measurement
+updates and coasts, never on the measured data. They live in a tree of
+``CovNode`` objects owned by the ``FilterBank``: the root holds P0, and each
+node is computed and PSD-checked once, on first use, then shared by every
+filter with that history. The bank holds the tracked users as rows: a state
+vector, its node, an update count and a missed-slot count. The bank and the
+stand-alone ``init_state`` read the run config's predictor section and the
+slot length.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from .errors import SingularInnovation
 from .model import Roi, Turn, VehicleState
+
+if TYPE_CHECKING:
+    from .config import PredictorSection
 
 PSD_TOL = 1e-9
 
@@ -68,7 +72,7 @@ def _update_cov(h_mat: np.ndarray, p_pred: np.ndarray,
 
 @dataclass(frozen=True)
 class FilterModel:
-    """A, H, Q and R shared by every filter of one predictor config."""
+    """A, H, Q and R shared by every filter of one bank."""
 
     a_mat: np.ndarray
     h_mat: np.ndarray
@@ -140,35 +144,6 @@ class KfState:
             _check_psd(getattr(self, name), name)
 
 
-@dataclass(frozen=True)
-class PredictorConfig:
-    """Tunables of the mobility predictor; all values config-overridable."""
-
-    delta: float = 1.0
-    p0_diag: tuple[float, float, float, float] = (1.0, 1.0, 10.0, 10.0)
-    q_diag: tuple[float, float, float, float] = (0.01, 0.01, 0.1, 0.1)
-    r_diag: tuple[float, float] = (0.25, 0.25)
-    theta_turn: float = math.radians(15.0)
-    warmup_slots: int = 3
-    roi_height: float = 10.0
-    measurement_noise_std: float = 0.0  # optional additive noise, off by default
-    coast_slots: int = 3  # slots a filter coasts unmeasured before it is dropped
-
-    @cached_property
-    def cov_root(self) -> CovNode:
-        """Root of this config's covariance tree; P0, Q and R are checked here once."""
-        model = FilterModel(
-            a_mat=_readonly(cv_transition(self.delta)),
-            h_mat=_readonly(MEASUREMENT_MATRIX.copy()),
-            q_proc=_readonly(np.diag(self.q_diag).astype(float)),
-            r_meas=_readonly(np.diag(self.r_diag).astype(float)),
-        )
-        root = CovNode(model, np.diag(self.p0_diag).astype(float))
-        _check_psd(model.q_proc, "q_proc")
-        _check_psd(model.r_meas, "r_meas")
-        return root
-
-
 def cv_transition(delta: float) -> np.ndarray:
     return np.array([
         [1.0, 0.0, delta, 0.0],
@@ -184,9 +159,26 @@ MEASUREMENT_MATRIX = np.array([
 ])
 
 
-def init_state(first_pos, cfg: PredictorConfig) -> KfState:
+def _cov_root(p: PredictorSection, delta: float) -> CovNode:
+    """Root of a covariance tree: P0 on the model with slot length delta.
+
+    P0, Q and R are PSD-checked here, once per tree.
+    """
+    model = FilterModel(
+        a_mat=_readonly(cv_transition(delta)),
+        h_mat=_readonly(MEASUREMENT_MATRIX.copy()),
+        q_proc=_readonly(np.diag(p.q_diag).astype(float)),
+        r_meas=_readonly(np.diag(p.r_diag).astype(float)),
+    )
+    root = CovNode(model, np.diag(p.p0_diag).astype(float))
+    _check_psd(model.q_proc, "q_proc")
+    _check_psd(model.r_meas, "r_meas")
+    return root
+
+
+def init_state(first_pos, p: PredictorSection, delta: float) -> KfState:
     """Filter for a newly seen user: measured position, zero velocity."""
-    root = cfg.cov_root
+    root = _cov_root(p, delta)
     m = root.model
     x0 = np.array([float(first_pos[0]), float(first_pos[1]), 0.0, 0.0])
     return KfState(x0, root.p_cov, m.a_mat, m.h_mat, m.q_proc, m.r_meas,
@@ -260,11 +252,15 @@ class FilterBank:
     Row r tracks user ``uids[r]``: state ``x[r]`` ([px, py, vx, vy]) on the
     shared covariance ``nodes[r]``, ``updates[r]`` measurement updates and
     ``missed[r]`` slots since the last one. Per slot, ``run_predictor``
-    measures the rows present and ``coast`` advances the rest.
+    measures the rows present and ``coast`` advances the rest. The bank's
+    covariance tree is built from ``cfg`` on the model with slot length
+    ``delta``.
     """
 
-    def __init__(self, cfg: PredictorConfig):
+    def __init__(self, cfg: PredictorSection, delta: float):
         self.cfg = cfg
+        self.theta_turn = math.radians(cfg.theta_turn_deg)
+        self.root = _cov_root(cfg, delta)
         self.uids = np.empty(0, dtype=np.int64)
         self.x = np.empty((0, 4))
         self.nodes = np.empty(0, dtype=object)  # CovNode per row
@@ -272,18 +268,16 @@ class FilterBank:
         self.missed = np.empty(0, dtype=np.int64)
 
 
-def run_predictor(trace, slot: int, bank: FilterBank,
+def run_predictor(states: Sequence[VehicleState], bank: FilterBank,
                   rng: Optional[np.random.Generator] = None) -> dict[int, Roi]:
-    """Measure every user present at the slot and estimate its next ROI.
+    """Measure every user of one slot's states and estimate its next ROI.
 
     A known user's row takes one measurement update; a new user gets a row
     at its first measurement with zero velocity. Every other row counts one
     more missed slot. Classification is suppressed (Straight) until a filter
     has consumed ``warmup_slots`` measurements.
     """
-    cfg, model = bank.cfg, bank.cfg.cov_root.model
-    record = trace.record_at(slot)
-    states = record.states if record is not None else ()
+    cfg, model = bank.cfg, bank.root.model
     z = np.array([s.position for s in states], dtype=float).reshape(-1, 2)
     if states and cfg.measurement_noise_std > 0.0:
         if rng is None:
@@ -317,7 +311,7 @@ def run_predictor(trace, slot: int, bank: FilterBank,
     rows[new] = len(bank.uids) + np.arange(len(new))
     bank.uids = np.concatenate([bank.uids, ids[new]])
     bank.x = np.concatenate([bank.x, np.hstack([z[new], np.zeros((len(new), 2))])])
-    bank.nodes = np.concatenate([bank.nodes, np.full(len(new), cfg.cov_root)])
+    bank.nodes = np.concatenate([bank.nodes, np.full(len(new), bank.root)])
     bank.updates = np.concatenate([bank.updates, np.ones(len(new), dtype=np.int64)])
     bank.missed = np.concatenate([bank.missed + 1, np.zeros(len(new), dtype=np.int64)])
     bank.missed[rows] = 0
@@ -326,10 +320,10 @@ def run_predictor(trace, slot: int, bank: FilterBank,
     warm = (bank.updates[rows] >= cfg.warmup_slots).tolist()
     ahead = (bank.x[rows] @ model.a_mat.T)[:, :2].tolist()
     for state, is_warm, predicted_pos in zip(states, warm, ahead):
-        turn = (classify_turn(state, predicted_pos, cfg.theta_turn)
+        turn = (classify_turn(state, predicted_pos, bank.theta_turn)
                 if is_warm else Turn.STRAIGHT)
         out[state.user_id] = (_STRAIGHT if turn is Turn.STRAIGHT
-                              else estimate_roi(state, turn, cfg.roi_height))
+                              else estimate_roi(state, turn, cfg.roi_height_m))
     return out
 
 
@@ -343,5 +337,5 @@ def coast(bank: FilterBank) -> None:
     for name in ("uids", "x", "nodes", "updates", "missed"):
         setattr(bank, name, getattr(bank, name)[keep])
     rows = np.flatnonzero(bank.missed > 0)
-    bank.x[rows] = bank.x[rows] @ bank.cfg.cov_root.model.a_mat.T
+    bank.x[rows] = bank.x[rows] @ bank.root.model.a_mat.T
     bank.nodes[rows] = [node.coast() for node in bank.nodes[rows]]

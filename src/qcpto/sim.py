@@ -25,39 +25,11 @@ from .config import EXPERIMENT_KEYS, RunConfig, SCHEMES, sweep_threads
 from .geometry import EpochRasters, GridSpec, build_quality_matrix, fov_triangle
 from .metrics import EpochReport, RunReport, epoch_metrics, run_aggregate
 from .model import Assignment, Roi, Turn, VehicleState, Worker
-from .predict import (FilterBank, PredictorConfig, coast, estimate_roi,
-                      run_predictor)
+from .predict import FilterBank, coast, estimate_roi, run_predictor
 from .qmkp import QmkpInstance, evaluate_objective, repair_deadline
 from .solve_exact import solve_exact
-from .solve_heur import HeurConfig, solve_heuristic
-from .trace import ScenarioConfig, Trace, synth_intersection
-
-
-def scenario_config(cfg: RunConfig) -> ScenarioConfig:
-    sc = cfg.scenario
-    return ScenarioConfig(
-        region_w=sc.region_w, region_h=sc.region_h,
-        lanes_per_direction=sc.lanes_per_direction, lane_width=sc.lane_width,
-        max_speed=sc.max_speed_kmh / 3.6, duration=sc.duration_s,
-        delta=sc.delta_s, arc_radius=sc.arc_radius_m, n_vehicles=sc.n_vehicles,
-        turn_probs=tuple(sc.turn_probs), spawn_window_frac=sc.spawn_window_frac,
-        speed_frac=tuple(sc.speed_frac), turn_speed_frac=sc.turn_speed_frac,
-        slow_margin_m=sc.slow_margin_m,
-        heading_settle_slots=sc.heading_settle_slots,
-        spawn_jitter_m=sc.spawn_jitter_m,
-    )
-
-
-def predictor_config(cfg: RunConfig) -> PredictorConfig:
-    p = cfg.predictor
-    return PredictorConfig(
-        delta=cfg.scenario.delta_s,
-        p0_diag=tuple(p.p0_diag), q_diag=tuple(p.q_diag), r_diag=tuple(p.r_diag),
-        theta_turn=math.radians(p.theta_turn_deg),
-        warmup_slots=p.warmup_slots, roi_height=p.roi_height_m,
-        measurement_noise_std=p.measurement_noise_std,
-        coast_slots=p.coast_slots,
-    )
+from .solve_heur import solve_heuristic
+from .trace import Trace, synth_intersection
 
 
 def grid_spec(cfg: RunConfig) -> GridSpec:
@@ -157,16 +129,13 @@ def solve_epoch(ctx: EpochContext, scheme: str, cfg: RunConfig,
     inst = ctx.instance
     if inst is None:
         return Assignment.empty()
-    sol_cfg = cfg.solver
     # the two-user minimum is a constraint of the quality-aware formulation;
     # baselines ignore it and are evaluated on their raw assignments
     min_pair = scheme in ("exact", "heuristic")
     if scheme == "exact":
-        a = solve_exact(inst, budget=sol_cfg.node_budget).assignment
+        a = solve_exact(inst, budget=cfg.solver.node_budget).assignment
     elif scheme == "heuristic":
-        heur = HeurConfig(alpha=sol_cfg.alpha, max_iters=sol_cfg.max_iters,
-                          patience=sol_cfg.patience, seed=seed)
-        a = solve_heuristic(inst, heur).assignment
+        a = solve_heuristic(inst, cfg.solver, seed).assignment
     elif scheme == "go":
         a = solve_go(inst)
     elif scheme == "cpto":
@@ -205,18 +174,17 @@ def run_simulation(trace: Trace, workers: Sequence[Worker], scheme: str,
     if not workers:
         raise ValueError("need at least one worker")
 
-    pcfg = predictor_config(cfg)
     gspec = grid_spec(cfg)
     rates = draw_rates(trace.user_ids(), len(workers), cfg, seed + 2)
     noise_rng = np.random.default_rng(seed + 3)
 
-    bank = FilterBank(pcfg)
+    bank = FilterBank(cfg.predictor, cfg.scenario.delta_s)
     epochs: list[EpochLog] = []
 
     for rec in trace.records:
         slot = rec.slot
         with _epoch_errors(slot):
-            rois = run_predictor(trace, slot, bank, noise_rng)
+            rois = run_predictor(rec.states, bank, noise_rng)
             coast(bank)
         states = {s.user_id: s for s in rec.states}
         ctx = build_epoch(slot, rois, states, rates, workers, cfg, gspec)
@@ -240,7 +208,7 @@ def run_simulation(trace: Trace, workers: Sequence[Worker], scheme: str,
 
 def run_scenario(cfg: RunConfig, scheme: str, seed: int) -> tuple[RunReport, list[EpochLog]]:
     """Synthesize the scenario for a seed and simulate it under one scheme."""
-    trace = synth_intersection(scenario_config(cfg), seed)
+    trace = synth_intersection(cfg.scenario, seed)
     workers = default_workers(cfg, seed + 1)
     return run_simulation(trace, workers, scheme, cfg, seed)
 

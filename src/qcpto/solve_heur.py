@@ -23,31 +23,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .model import Assignment
 from .qmkp import QmkpInstance, Solution, evaluate_objective, repair_min_pair
 
-
-@dataclass(frozen=True)
-class HeurConfig:
-    alpha: float = 0.3            # fraction of assigned users dropped per perturbation
-    max_iters: int = 500
-    patience: int = 100           # iterations without improvement before stopping
-                                  # (the search also stops once the best solution
-                                  # realizes every pair)
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.max_iters < 0:
-            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
-        if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
+if TYPE_CHECKING:
+    from .config import SolverSection
 
 
 def greedy_bin_packing(inst: QmkpInstance, x: Optional[Sequence[int]] = None,
@@ -162,9 +144,12 @@ def _descend(x: Sequence[int], inst: QmkpInstance) -> list[int]:
     return x
 
 
-def solve_heuristic(inst: QmkpInstance, cfg: HeurConfig) -> Solution:
-    """Greedy construction refined by seeded fix-and-complete perturbations."""
-    rng = random.Random(cfg.seed)
+def solve_heuristic(inst: QmkpInstance, solver: SolverSection, seed: int) -> Solution:
+    """Greedy construction refined by seeded fix-and-complete perturbations.
+
+    Reads ``alpha``, ``max_iters`` and ``patience`` from the solver section.
+    """
+    rng = random.Random(seed)
     q = inst.quality
 
     def score(x: Sequence[int]) -> float:
@@ -183,13 +168,13 @@ def solve_heuristic(inst: QmkpInstance, cfg: HeurConfig) -> Solution:
     seen: set[tuple[int, ...]] = {tuple(current)}
     no_improve = 0
     iters = 0
-    for _ in range(cfg.max_iters):
+    for _ in range(solver.max_iters):
         if best_obj >= ceiling:
             break
         iters += 1
         # reactive radius: stagnation widens the drop fraction so the
         # walk can leave basins the base perturbation cannot escape
-        alpha = min(0.95, cfg.alpha * (1.0 + no_improve / 20.0))
+        alpha = min(0.95, solver.alpha * (1.0 + no_improve / 20.0))
         # the fingerprint memory tracks raw completions so the walk keeps
         # exploring; on a hit, perturb again with shuffled completions
         raw = fix_and_complete(current, alpha, rng, inst)
@@ -210,7 +195,7 @@ def solve_heuristic(inst: QmkpInstance, cfg: HeurConfig) -> Solution:
                 improved = True
         trajectory.append(best_obj)
         no_improve = 0 if improved else no_improve + 1
-        if no_improve >= cfg.patience:
+        if no_improve >= solver.patience:
             break
         if rng.random() < 0.5:
             current = best

@@ -20,10 +20,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .errors import ConfigError, InvariantError, ParseError
 from .model import VehicleState, normalize_heading
+
+if TYPE_CHECKING:  # config imports check_routes from here
+    from .config import ScenarioSection
 
 CSV_HEADER = "slot,user_id,x_m,y_m,heading_rad,speed_mps"
 
@@ -63,14 +66,6 @@ class Trace:
     @property
     def first_slot(self) -> Optional[int]:
         return self.records[0].slot if self.records else None
-
-    def record_at(self, slot: int) -> Optional[SlotRecord]:
-        if not self.records:
-            return None
-        idx = slot - self.records[0].slot
-        if 0 <= idx < len(self.records):
-            return self.records[idx]
-        return None
 
     def user_ids(self) -> tuple[int, ...]:
         ids = {s.user_id for r in self.records for s in r.states}
@@ -171,49 +166,10 @@ def save_trace(trace: Trace, path) -> None:
                          f"{s.position[1]!r},{s.heading!r},{s.speed!r}\n")
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Parameters of the synthetic four-way intersection."""
-
-    region_w: float = 200.0
-    region_h: float = 200.0
-    lanes_per_direction: int = 2
-    lane_width: float = 3.5
-    max_speed: float = 40.0 / 3.6  # m/s
-    duration: float = 60.0         # seconds
-    delta: float = 1.0             # slot length, seconds
-    arc_radius: float = 8.0
-    n_vehicles: int = 40
-    turn_probs: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)  # left, right, straight
-    spawn_window_frac: float = 1 / 3
-    speed_frac: tuple[float, float] = (0.7, 1.0)
-    turn_speed_frac: float = 0.5  # cruise fraction while negotiating the arc
-    slow_margin_m: float = 4.0    # slow zone extends this far beyond the arc
-    heading_settle_slots: float = 3.0
-    spawn_jitter_m: float = 5.0
-    # vehicles re-enter on a fresh route after leaving, keeping the vehicle
-    # population steady for the whole run; the gap lets trackers reset
-    recirculate: bool = True
-    respawn_gap_slots: tuple[int, int] = (5, 9)
-
-    def __post_init__(self):
-        if self.region_w <= 0 or self.region_h <= 0:
-            raise ConfigError("region dimensions must be positive")
-        if self.duration <= 0 or self.delta <= 0:
-            raise ConfigError("duration and delta must be positive")
-        if self.max_speed <= 0:
-            raise ConfigError("max speed must be positive")
-        if self.lanes_per_direction < 1:
-            raise ConfigError("need at least one lane per direction")
-        if self.n_vehicles < 0:
-            raise ConfigError("vehicle count must be >= 0")
-        if any(p < 0 for p in self.turn_probs) or sum(self.turn_probs) <= 0:
-            raise ConfigError("turn probabilities must be non-negative and not all zero")
-
-    @property
-    def n_slots(self) -> int:
-        return int(round(self.duration / self.delta))
-
+# vehicles re-enter on a fresh route after leaving, keeping the vehicle
+# population steady for the whole run; the gap, drawn uniformly in slots,
+# lets trackers reset
+RESPAWN_GAP_SLOTS = (5, 9)
 
 _INTENTS = ("left", "right", "straight")
 
@@ -293,23 +249,23 @@ class _Path:
         return (bx + self.d_out[0] * s3, by + self.d_out[1] * s3, s3)
 
 
-def _build_path(approach: int, lane: int, intent: str, cfg: ScenarioConfig) -> _Path:
-    center = (cfg.region_w / 2.0, cfg.region_h / 2.0)
+def _build_path(approach: int, lane: int, intent: str, sc: ScenarioSection) -> _Path:
+    center = (sc.region_w / 2.0, sc.region_h / 2.0)
     d_in = _APPROACH_DIRS[approach]
-    offset = cfg.lane_width * (lane + 0.5)
+    offset = sc.lane_width * (lane + 0.5)
     p_in, _ = _lane_line(center, d_in, offset)
     # spawn where the lane line enters the region (walk backwards to the boundary)
-    back = _boundary_distance(p_in, (-d_in[0], -d_in[1]), cfg.region_w, cfg.region_h)
+    back = _boundary_distance(p_in, (-d_in[0], -d_in[1]), sc.region_w, sc.region_h)
     spawn = (p_in[0] - d_in[0] * back, p_in[1] - d_in[1] * back)
 
     if intent == "straight":
-        length = _boundary_distance(spawn, d_in, cfg.region_w, cfg.region_h)
+        length = _boundary_distance(spawn, d_in, sc.region_w, sc.region_h)
         return _Path(spawn, d_in, d_in, length, 0.0, 0.0, (0.0, 0.0), (0.0, 0.0), False)
 
     ccw = intent == "left"
     d_out = _rot_left(d_in) if ccw else _rot_right(d_in)
     p_out, _ = _lane_line(center, d_out, offset)
-    rad = cfg.arc_radius
+    rad = sc.arc_radius_m
     # arc center sits at distance rad on the turn's inner side of both lane lines
     side_in = _rot_left(d_in) if ccw else _rot_right(d_in)
     side_out = _rot_left(d_out) if ccw else _rot_right(d_out)
@@ -329,12 +285,12 @@ def _build_path(approach: int, lane: int, intent: str, cfg: ScenarioConfig) -> _
         raise ConfigError("arc radius too large for the configured region")
     len_arc = rad * math.pi / 2.0
     arc_end = (cx - rad * side_out[0], cy - rad * side_out[1])
-    len_exit = _boundary_distance(arc_end, d_out, cfg.region_w, cfg.region_h)
+    len_exit = _boundary_distance(arc_end, d_out, sc.region_w, sc.region_h)
     return _Path(spawn, d_in, d_out, len_approach, len_arc, len_exit,
                  arc_center, arc_start, ccw)
 
 
-def check_routes(cfg: ScenarioConfig) -> None:
+def check_routes(sc: ScenarioSection) -> None:
     """Build the turning routes at the extreme lanes of every approach.
 
     Raises ConfigError when an arc does not fit between the region boundary
@@ -342,19 +298,19 @@ def check_routes(cfg: ScenarioConfig) -> None:
     innermost and outermost lanes bound every route the synthesizer draws.
     """
     for approach in range(len(_APPROACH_DIRS)):
-        for lane in {0, cfg.lanes_per_direction - 1}:
+        for lane in {0, sc.lanes_per_direction - 1}:
             for intent in ("left", "right"):
-                _build_path(approach, lane, intent, cfg)
+                _build_path(approach, lane, intent, sc)
 
 
-def _speed_profile(path: _Path, cruise: float, cfg: ScenarioConfig,
+def _speed_profile(path: _Path, cruise: float, sc: ScenarioSection,
                    turning: bool) -> list[tuple[float, float]]:
     """(segment end distance, speed) pairs; vehicles slow through the arc."""
     if not turning:
         return [(path.total, cruise)]
-    slow = max(cruise * cfg.turn_speed_frac, 0.1)
-    s1 = max(0.0, path.len_approach - cfg.slow_margin_m)
-    s2 = min(path.total, path.len_approach + path.len_arc + cfg.slow_margin_m)
+    slow = max(cruise * sc.turn_speed_frac, 0.1)
+    s1 = max(0.0, path.len_approach - sc.slow_margin_m)
+    s2 = min(path.total, path.len_approach + path.len_arc + sc.slow_margin_m)
     return [(s1, cruise), (s2, slow), (path.total, cruise)]
 
 
@@ -370,36 +326,37 @@ def _distance_at(profile: list[tuple[float, float]], t: float) -> tuple[float, f
     return profile[-1][0] + 1e-9, profile[-1][1]  # past the end
 
 
-def synth_intersection(cfg: ScenarioConfig, seed: int) -> Trace:
+def synth_intersection(sc: ScenarioSection, seed: int) -> Trace:
     """Deterministic synthetic trace of the four-way intersection scenario."""
     rng = random.Random(seed)
-    n_slots = cfg.n_slots
-    spawn_window = max(0, int(n_slots * cfg.spawn_window_frac) - 1)
-    probs = cfg.turn_probs
+    n_slots = int(round(sc.duration_s / sc.delta_s))
+    max_speed = sc.max_speed_kmh / 3.6  # m/s
+    spawn_window = max(0, int(n_slots * sc.spawn_window_frac) - 1)
+    probs = sc.turn_probs
     total_p = sum(probs)
 
     by_slot: dict[int, list[VehicleState]] = {s: [] for s in range(n_slots)}
-    for uid in range(cfg.n_vehicles):
+    for uid in range(sc.n_vehicles):
         start_slot = rng.randint(0, spawn_window) if spawn_window else 0
         while start_slot < n_slots:
             approach = rng.randrange(4)
-            lane = rng.randrange(cfg.lanes_per_direction)
+            lane = rng.randrange(sc.lanes_per_direction)
             r = rng.random() * total_p
             intent = _INTENTS[0] if r < probs[0] else (
                 _INTENTS[1] if r < probs[0] + probs[1] else _INTENTS[2])
-            cruise = cfg.max_speed * rng.uniform(*cfg.speed_frac)
-            jitter = rng.uniform(0.0, cfg.spawn_jitter_m)
+            cruise = max_speed * rng.uniform(*sc.speed_frac)
+            jitter = rng.uniform(0.0, sc.spawn_jitter_m)
 
             turning = intent != "straight"
-            path = _build_path(approach, lane, intent, cfg)
-            profile = _speed_profile(path, cruise, cfg, turning)
-            settle_dist = (cfg.heading_settle_slots * cruise * cfg.turn_speed_frac
-                           * cfg.delta)
+            path = _build_path(approach, lane, intent, sc)
+            profile = _speed_profile(path, cruise, sc, turning)
+            settle_dist = (sc.heading_settle_slots * cruise * sc.turn_speed_frac
+                           * sc.delta_s)
             h_in = normalize_heading(math.atan2(path.d_in[1], path.d_in[0]))
             h_out = normalize_heading(math.atan2(path.d_out[1], path.d_out[0]))
             slot = start_slot
             for slot in range(start_slot, n_slots):
-                t_rel = cfg.delta * (slot - start_slot)
+                t_rel = sc.delta_s * (slot - start_slot)
                 s, speed = _distance_at(profile, t_rel)
                 s += jitter
                 if s > path.total:
@@ -407,9 +364,7 @@ def synth_intersection(cfg: ScenarioConfig, seed: int) -> Trace:
                 x, y, into_exit = path.position_at(s)
                 heading = h_out if (turning and into_exit >= settle_dist) else h_in
                 by_slot[slot].append(VehicleState(uid, (x, y), heading, speed, slot))
-            if not cfg.recirculate:
-                break
-            start_slot = slot + rng.randint(*cfg.respawn_gap_slots)
+            start_slot = slot + rng.randint(*RESPAWN_GAP_SLOTS)
 
     records = tuple(SlotRecord(s, tuple(by_slot[s])) for s in range(n_slots))
     return Trace(records)

@@ -6,6 +6,8 @@ rasterizer beyond the documented cell-membership rule.
 """
 from __future__ import annotations
 
+from qcpto.trace import Trace
+
 
 def cross(ax, ay, bx, by, px, py):
     return (bx - ax) * (py - ay) - (by - ay) * (px - ax)
@@ -64,3 +66,19 @@ def shared_interest_oracle(roi_i, fov_i, roi_k, fov_k, spec, mode="sum") -> floa
     if mode == "max":
         return max(g_ik, g_ki)
     return 0.5 * (g_ik + g_ki)
+
+
+def first_route(trace):
+    """A one-vehicle trace cut at the vehicle's first absence after it appears.
+
+    The synthetic scenario sends a vehicle that leaves the region back in on
+    a fresh route; the records before that first absence hold its first
+    route alone.
+    """
+    seen = False
+    for k, rec in enumerate(trace.records):
+        if rec.states:
+            seen = True
+        elif seen:
+            return Trace(trace.records[:k])
+    return trace

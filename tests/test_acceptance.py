@@ -11,17 +11,17 @@ import numpy as np
 import pytest
 
 from qcpto.cli import main
-from qcpto.config import RunConfig
+from qcpto.config import PredictorSection, RunConfig, SolverSection
 from qcpto.geometry import (EpochRasters, GridSpec, QualityMatrix,
                             build_quality_matrix, detected_awareness,
                             rasterize_triangle, shared_interest)
 from qcpto.metrics import epoch_metrics
 from qcpto.model import Assignment, Roi, Turn, Worker
-from qcpto.predict import KfState, PredictorConfig, init_state, kf_predict, kf_update
+from qcpto.predict import KfState, init_state, kf_predict, kf_update
 from qcpto.qmkp import QmkpInstance, enumerate_optimal, random_instance
 from qcpto.sim import make_synthetic_instance, run_scenario
 from qcpto.solve_exact import solve_exact
-from qcpto.solve_heur import HeurConfig, solve_heuristic
+from qcpto.solve_heur import solve_heuristic
 
 from oracles import raster_cells, awareness_oracle, shared_interest_oracle
 
@@ -47,7 +47,7 @@ def heuristic_runs(corpus):
     total = 0
     for inst, opt in zip(corpus["instances"], corpus["optima"]):
         for seed in range(10):
-            sol = solve_heuristic(inst, HeurConfig(seed=seed))
+            sol = solve_heuristic(inst, SolverSection(), seed)
             gaps.append((opt - sol.objective) / opt if opt > 0 else 0.0)
             total += 1
             traj = sol.trajectory
@@ -80,7 +80,7 @@ def test_criterion_3_runtime_scaling():
     exact = solve_exact(inst)
     t_exact = time.perf_counter() - t0
     t0 = time.perf_counter()
-    solve_heuristic(inst, HeurConfig(seed=0))
+    solve_heuristic(inst, SolverSection(), 0)
     t_heur = time.perf_counter() - t0
     ratio = t_heur / t_exact
     assert ratio <= 0.20
@@ -118,9 +118,9 @@ def test_criterion_5_latency_arithmetic():
 
 def test_criterion_6_kalman_correctness():
     # exact tracking with zero noise after a three-slot warm-up
-    cfg = PredictorConfig(q_diag=(0, 0, 0, 0), r_diag=(0, 0))
+    cfg = PredictorSection(q_diag=(0, 0, 0, 0), r_diag=(0, 0))
     pos, vel = np.array([4.0, -3.0]), np.array([2.0, 1.5])
-    kf = init_state(pos, cfg)
+    kf = init_state(pos, cfg, 1.0)
     for k in range(1, 3):
         x_pred, p_pred = kf_predict(kf)
         kf = kf_update(kf, x_pred, p_pred, pos + vel * k)
@@ -135,7 +135,7 @@ def test_criterion_6_kalman_correctness():
 
     # covariance stays symmetric PSD through 1000 noisy cycles
     rng = np.random.default_rng(5)
-    kf = init_state([0.0, 0.0], PredictorConfig())
+    kf = init_state([0.0, 0.0], PredictorSection(), 1.0)
     for _ in range(1000):
         x_pred, p_pred = kf_predict(kf)
         kf = kf_update(kf, x_pred, p_pred, rng.normal(scale=25.0, size=2))

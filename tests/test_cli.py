@@ -53,6 +53,24 @@ def test_run_unknown_key_exits_1(tmp_path, capsys):
     assert "n_vehicless" in capsys.readouterr().err
 
 
+def test_run_missing_config_file_exits_1(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    out = tmp_path / "r"
+    assert main(["run", "--config", str(missing), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error ({missing}): ") and "No such file" in err
+    assert not out.exists()
+
+
+def test_run_non_utf8_config_file_exits_1(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"seed": 0, "note": "\u00e9"}'.encode("latin-1"))
+    out = tmp_path / "r"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error ({path}): invalid JSON in ")
+    assert not out.exists()
+
+
 def test_run_seed_override_is_deterministic(tmp_path):
     cfg = write_config(tmp_path, small_config_doc())
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -160,6 +178,17 @@ def test_plotdata_truncated_sweep_json_is_a_results_error(tmp_path, capsys):
     assert main(["plotdata", "--results", str(res), "--out", str(plots)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"results error: {sweep} ") and "JSONDecodeError" in err
+    assert not plots.exists()
+
+
+def test_plotdata_unreadable_sweep_json_is_a_results_error(tmp_path, capsys):
+    res = tmp_path / "res"
+    (res / "sweep.json").mkdir(parents=True)
+    plots = tmp_path / "plots"
+    assert main(["plotdata", "--results", str(res), "--out", str(plots)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"results error: cannot read {res / 'sweep.json'} ")
+    assert "IsADirectoryError" in err
     assert not plots.exists()
 
 
@@ -286,6 +315,7 @@ def doc_with(path, value, **extra):
     ("sweep.grid", [-1.0], "CpuCapacity"),
     ("sweep.grid", 5, "UserCount"),
     ("scenario.arc_radius_m", 150.0, None),
+    ("scenario.region_w", -5.0, None),
 ])
 def test_run_bad_scenario_value_exits_1(tmp_path, capsys, key, value, experiment):
     doc = doc_with(key, value)
@@ -300,6 +330,7 @@ def test_run_bad_scenario_value_exits_1(tmp_path, capsys, key, value, experiment
 
 @pytest.mark.parametrize("key,value", [
     ("alpha", 1.5),
+    ("alpha", 1.0),
     ("alpha", 0.0),
     ("max_iters", -1),
     ("max_iters", 2.5),

@@ -15,14 +15,17 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from qcpto import sim
-from qcpto.config import EXPERIMENTS, SCHEMES, RunConfig, config_from_dict, config_to_dict
+from qcpto.config import (EXPERIMENTS, SCHEMES, RunConfig, SolverSection, config_from_dict,
+                          config_to_dict)
 from qcpto.errors import ConfigError
 from qcpto.geometry import QualityMatrix
 from qcpto.model import Assignment
+from qcpto.predict import FilterBank
 from qcpto.qmkp import (QmkpInstance, check_feasible, enumerate_optimal, evaluate_objective,
                         repair_deadline)
 from qcpto.solve_exact import solve_exact
-from qcpto.solve_heur import HeurConfig, solve_heuristic
+from qcpto.solve_heur import solve_heuristic
+from qcpto.trace import check_routes
 
 # hypothesis caches the constants it reads from the code under test in its
 # home directory, ./.hypothesis by default, even without an example database;
@@ -99,14 +102,13 @@ def test_config_documents_load_or_raise_config_error(doc):
     except ConfigError:
         return
     assert config_from_dict(config_to_dict(cfg)) == cfg
-    # the library objects the pipeline builds from a loaded config keep
-    # their own guards; none of them may fire on a config that loaded
-    assert sim.scenario_config(cfg).n_slots >= 1
-    sim.predictor_config(cfg)
+    # the library objects the pipeline builds from a loaded config check
+    # what they build; none of those checks may fire on a config that loaded
+    assert round(cfg.scenario.duration_s / cfg.scenario.delta_s) >= 1
+    check_routes(cfg.scenario)
+    FilterBank(cfg.predictor, cfg.scenario.delta_s)
     sim.grid_spec(cfg)
     assert len(sim.default_workers(cfg, cfg.seed + 1)) == cfg.scenario.n_workers
-    HeurConfig(alpha=cfg.solver.alpha, max_iters=cfg.solver.max_iters,
-               patience=cfg.solver.patience)
 
 
 @st.composite
@@ -136,15 +138,14 @@ def instances(draw, max_n=8, max_m=3, latency=True):
     return QmkpInstance(quality=QualityMatrix(q), capacity=caps, allowed=allowed, **extra)
 
 
-heur_configs = st.builds(HeurConfig, alpha=st.floats(0.05, 0.95),
-                         max_iters=st.integers(0, 80), patience=st.integers(1, 30),
-                         seed=st.integers(0, 2**16))
+solver_sections = st.builds(SolverSection, alpha=st.floats(0.05, 0.95),
+                            max_iters=st.integers(0, 80), patience=st.integers(1, 30))
 
 
 @settings(FUZZ, max_examples=150)
-@given(instances(), heur_configs)
-def test_heuristic_result_is_feasible(inst, cfg):
-    sol = solve_heuristic(inst, cfg)
+@given(instances(), solver_sections, st.integers(0, 2**16))
+def test_heuristic_result_is_feasible(inst, solver, seed):
+    sol = solve_heuristic(inst, solver, seed)
     assert sol.objective == evaluate_objective(sol.assignment, inst.quality)
     ok, violations = check_feasible(sol.assignment, inst)
     assert ok, violations

@@ -19,10 +19,11 @@ import numpy as np
 import pytest
 
 from qcpto.baselines import solve_cpto, solve_go
+from qcpto.config import SolverSection
 from qcpto.qmkp import evaluate_objective, random_instance
 from qcpto.sim import make_synthetic_instance
 from qcpto.solve_exact import solve_exact
-from qcpto.solve_heur import HeurConfig, solve_heuristic
+from qcpto.solve_heur import solve_heuristic
 
 EXACT_BUDGET = 3000
 
@@ -69,7 +70,7 @@ def test_exact_outputs_match_the_pinned_digest(synthetic):
 
 
 def test_heuristic_outputs_match_the_pinned_digest(synthetic):
-    rows = [row(solve_heuristic(inst, HeurConfig(seed=s)), inst.n)
+    rows = [row(solve_heuristic(inst, SolverSection(), s), inst.n)
             for inst in synthetic for s in (0, 7)]
     assert digest(rows) == DIGESTS["heuristic"]
 

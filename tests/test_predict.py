@@ -1,15 +1,19 @@
+import dataclasses
 import math
 import random
 
 import numpy as np
 import pytest
 
+from qcpto.config import PredictorSection, RunConfig, ScenarioSection, validate_config
 from qcpto.errors import SingularInnovation
 from qcpto.model import Turn, VehicleState
-from qcpto.predict import (FilterBank, KfState, PredictorConfig, classify_turn,
-                           coast, cv_transition, estimate_roi, init_state,
-                           kf_predict, kf_update, run_predictor)
-from qcpto.trace import ScenarioConfig, synth_intersection
+from qcpto.predict import (FilterBank, KfState, classify_turn, coast,
+                           cv_transition, estimate_roi, init_state, kf_predict,
+                           kf_update, run_predictor)
+from qcpto.trace import synth_intersection
+
+from oracles import first_route
 
 
 def make_state(x=None, p=None, a=None, q=None, r=None):
@@ -82,10 +86,10 @@ def test_exact_tracking_with_zero_noise():
     # deterministic constant-velocity motion, exact measurements: after the
     # three-slot warm-up the filter reproduces the true state and coasting
     # predictions stay exact
-    cfg = PredictorConfig(q_diag=(0, 0, 0, 0), r_diag=(0, 0))
+    cfg = PredictorSection(q_diag=(0, 0, 0, 0), r_diag=(0, 0))
     vel = np.array([3.0, -2.0])
     pos = np.array([10.0, 20.0])
-    kf = init_state(pos, cfg)
+    kf = init_state(pos, cfg, 1.0)
     for k in range(1, 3):
         z = pos + vel * k
         x_pred, p_pred = kf_predict(kf)
@@ -101,8 +105,7 @@ def test_exact_tracking_with_zero_noise():
 
 def test_covariance_stays_psd_over_random_cycles():
     rng = np.random.default_rng(17)
-    cfg = PredictorConfig()
-    kf = init_state([0.0, 0.0], cfg)
+    kf = init_state([0.0, 0.0], PredictorSection(), 1.0)
     for _ in range(1000):
         x_pred, p_pred = kf_predict(kf)
         z = rng.normal(scale=30.0, size=2)
@@ -177,11 +180,11 @@ def test_estimate_roi_rotation_equivariance_and_area():
         assert area == pytest.approx(100.0 / math.sqrt(3.0), abs=1e-9)
 
 
-def run_flags(trace, cfg=PredictorConfig()):
-    bank = FilterBank(cfg)
+def run_flags(trace, cfg=PredictorSection()):
+    bank = FilterBank(cfg, 1.0)
     flags = []
     for rec in trace.records:
-        rois = run_predictor(trace, rec.slot, bank)
+        rois = run_predictor(rec.states, bank)
         coast(bank)
         flags += [(rec.slot, uid, roi.turn) for uid, roi in rois.items()
                   if roi.turn is not Turn.STRAIGHT]
@@ -189,14 +192,14 @@ def run_flags(trace, cfg=PredictorConfig()):
 
 
 def test_straight_vehicle_never_flagged():
-    trace = synth_intersection(
-        ScenarioConfig(n_vehicles=1, turn_probs=(0, 0, 1), recirculate=False), 3)
+    trace = first_route(synth_intersection(
+        ScenarioSection(n_vehicles=1, turn_probs=(0, 0, 1)), 3))
     assert run_flags(trace) == []
 
 
 def test_right_turner_flagged_right_during_turn():
-    trace = synth_intersection(
-        ScenarioConfig(n_vehicles=1, turn_probs=(0, 1, 0), recirculate=False), 7)
+    trace = first_route(synth_intersection(
+        ScenarioSection(n_vehicles=1, turn_probs=(0, 1, 0)), 7))
     flags = run_flags(trace)
     assert flags, "turning vehicle was never flagged"
     assert all(turn is Turn.RIGHT for _, _, turn in flags)
@@ -216,15 +219,54 @@ def test_right_turner_flagged_right_during_turn():
 
 
 def test_left_turner_flagged_left():
-    trace = synth_intersection(
-        ScenarioConfig(n_vehicles=1, turn_probs=(1, 0, 0), recirculate=False), 5)
+    trace = first_route(synth_intersection(
+        ScenarioSection(n_vehicles=1, turn_probs=(1, 0, 0)), 5))
     flags = run_flags(trace)
     assert flags and all(turn is Turn.LEFT for _, _, turn in flags)
 
 
 def test_run_predictor_empty_slot():
-    trace = synth_intersection(
-        ScenarioConfig(n_vehicles=0, recirculate=False), 1)
-    bank = FilterBank(PredictorConfig())
-    assert run_predictor(trace, trace.records[0].slot, bank) == {}
+    bank = FilterBank(PredictorSection(), 1.0)
+    assert run_predictor((), bank) == {}
     assert len(bank.uids) == 0
+
+
+# every key of the predictor section, set to a valid value other than its
+# default; on the trace below no filter is flagged before its 12th update, so
+# a warmup of 12 or fewer changes nothing there
+PREDICTOR_KEYS = {
+    "p0_diag": (2.0, 2.0, 20.0, 20.0),
+    "q_diag": (0.02, 0.02, 0.2, 0.2),
+    "r_diag": (0.5, 0.5),
+    "theta_turn_deg": 10.0,
+    "warmup_slots": 13,
+    "roi_height_m": 12.0,
+    "measurement_noise_std": 0.5,
+    "coast_slots": 10,
+}
+
+
+def bank_history(trace, cfg):
+    """Per slot: the returned ROIs and the bank's rows after coasting."""
+    bank, rng = FilterBank(cfg, 1.0), np.random.default_rng(0)
+    out = []
+    for rec in trace.records:
+        rois = run_predictor(rec.states, bank, rng)
+        coast(bank)
+        out.append((rois, bank.uids.tolist(), bank.x.tolist(), bank.updates.tolist(),
+                    bank.missed.tolist()))
+    return out
+
+
+def test_predictor_keys_are_the_section_fields():
+    assert list(PREDICTOR_KEYS) == [f.name for f in dataclasses.fields(PredictorSection)]
+
+
+@pytest.mark.parametrize("key", list(PREDICTOR_KEYS))
+def test_each_predictor_key_changes_the_bank_or_its_rois(key):
+    trace = synth_intersection(ScenarioSection(n_vehicles=40), 3)
+    base = PredictorSection()
+    changed = dataclasses.replace(base, **{key: PREDICTOR_KEYS[key]})
+    assert getattr(changed, key) != getattr(base, key)
+    validate_config(dataclasses.replace(RunConfig(), predictor=changed))
+    assert bank_history(trace, changed) != bank_history(trace, base)

@@ -7,24 +7,27 @@ with the same update/coast history, and must reproduce the reference bit for
 bit.
 """
 import dataclasses
+import math
 import random
 
 import numpy as np
 import pytest
 
-from qcpto.config import RunConfig
+from qcpto.config import PredictorSection, RunConfig, ScenarioSection
 from qcpto.errors import SingularInnovation
 from qcpto.model import Turn, VehicleState
 from qcpto.predict import (MEASUREMENT_MATRIX, FilterBank, KfState,
-                           PredictorConfig, classify_turn, coast,
-                           cv_transition, estimate_roi, run_predictor)
-from qcpto.sim import default_workers, run_simulation, scenario_config
-from qcpto.trace import ScenarioConfig, SlotRecord, Trace, synth_intersection
+                           classify_turn, coast, cv_transition, estimate_roi,
+                           run_predictor)
+from qcpto.sim import default_workers, run_simulation
+from qcpto.trace import SlotRecord, Trace, synth_intersection
+
+DELTA = 1.0  # slot length of every trace here
 
 
 def ref_init(z, cfg):
     return KfState(np.array([float(z[0]), float(z[1]), 0.0, 0.0]),
-                   np.diag(cfg.p0_diag).astype(float), cv_transition(cfg.delta),
+                   np.diag(cfg.p0_diag).astype(float), cv_transition(DELTA),
                    MEASUREMENT_MATRIX.copy(), np.diag(cfg.q_diag).astype(float),
                    np.diag(cfg.r_diag).astype(float), 1)
 
@@ -53,13 +56,10 @@ def ref_coast(s):
     return KfState(x_pred, p_pred, s.a_mat, s.h_mat, s.q_proc, s.r_meas, s.updates)
 
 
-def ref_run_predictor(trace, slot, bank, cfg, rng):
-    """Step each user present at the slot: {uid: (filter, roi)}."""
+def ref_run_predictor(states, bank, cfg, rng):
+    """Step each user of one slot's states: {uid: (filter, roi)}."""
     out = {}
-    record = trace.record_at(slot)
-    if record is None:
-        return out
-    for state in record.states:
+    for state in states:
         z = np.array(state.position, dtype=float)
         if cfg.measurement_noise_std > 0.0:
             z = z + rng.normal(0.0, cfg.measurement_noise_std, size=2)
@@ -71,9 +71,9 @@ def ref_run_predictor(trace, slot, bank, cfg, rng):
             kf = ref_update(prior, x_pred, p_pred, z)
         ahead, _ = ref_predict(kf)
         predicted_pos = (float(ahead[0]), float(ahead[1]))
-        turn = (classify_turn(state, predicted_pos, cfg.theta_turn)
+        turn = (classify_turn(state, predicted_pos, math.radians(cfg.theta_turn_deg))
                 if kf.updates >= cfg.warmup_slots else Turn.STRAIGHT)
-        out[state.user_id] = (kf, estimate_roi(state, turn, cfg.roi_height))
+        out[state.user_id] = (kf, estimate_roi(state, turn, cfg.roi_height_m))
     return out
 
 
@@ -86,18 +86,18 @@ def drive(trace, cfg, seed=0):
     Which rows the bank keeps is its own decision; the tests check it.
     """
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    bank, ref = FilterBank(cfg), {}
+    bank, ref = FilterBank(cfg, DELTA), {}
     for rec in trace.records:
         try:
-            want = ref_run_predictor(trace, rec.slot, ref, cfg, ref_rng)
+            want = ref_run_predictor(rec.states, ref, cfg, ref_rng)
         except SingularInnovation as exc:
             # the bank fails in the same slot with the same message
             with pytest.raises(SingularInnovation) as info:
-                run_predictor(trace, rec.slot, bank, rng)
+                run_predictor(rec.states, bank, rng)
             assert str(info.value) == str(exc)
             raise
         try:
-            rois = run_predictor(trace, rec.slot, bank, rng)
+            rois = run_predictor(rec.states, bank, rng)
         except SingularInnovation as exc:
             pytest.fail(f"slot {rec.slot}: only the bank failed: {exc}")
         coast(bank)
@@ -150,8 +150,8 @@ def check_bank(trace, cfg):
 
 @pytest.mark.parametrize("noise_std", [0.0, 0.5])
 def test_shared_covariances_match_checked_reference(noise_std):
-    trace = synth_intersection(ScenarioConfig(n_vehicles=200), 8000)
-    cfg = PredictorConfig(measurement_noise_std=noise_std)
+    trace = synth_intersection(ScenarioSection(n_vehicles=200), 8000)
+    cfg = PredictorSection(measurement_noise_std=noise_std)
     steps, histories, resumes = check_bank(trace, cfg)
     assert steps > 5000
     # the synthetic traces never bring a filter back within coast_slots
@@ -164,9 +164,9 @@ def test_shared_covariances_match_checked_reference(noise_std):
 @pytest.mark.parametrize("n_vehicles, drop", [(40, 0.0), (200, 0.1), (200, 0.3)])
 @pytest.mark.parametrize("noise_std", [0.0, 0.5])
 def test_bank_matches_checked_reference_on_small_and_gappy_traces(n_vehicles, drop, noise_std):
-    trace = gappy(synth_intersection(ScenarioConfig(n_vehicles=n_vehicles), 8000),
+    trace = gappy(synth_intersection(ScenarioSection(n_vehicles=n_vehicles), 8000),
                   drop, 8001)
-    steps, _, resumes = check_bank(trace, PredictorConfig(measurement_noise_std=noise_std))
+    steps, _, resumes = check_bank(trace, PredictorSection(measurement_noise_std=noise_std))
     assert steps > 20 * n_vehicles
     assert (resumes > 0) == (drop > 0)
 
@@ -175,22 +175,22 @@ def test_bank_matches_checked_reference_on_small_and_gappy_traces(n_vehicles, dr
 def test_filter_resumes_within_coast_slots_and_restarts_after(beyond):
     # one user driving east at 10 m/s, measured for four slots, then absent
     # for coast_slots (+1) slots, then measured again
-    cfg = PredictorConfig()
+    cfg = PredictorSection()
     absent = cfg.coast_slots + beyond
     seen = list(range(4)) + [4 + absent]
     trace = Trace(tuple(
         SlotRecord(t, (VehicleState(7, (10.0 * t, 5.0), 0.0, 10.0, t),)
                    if t in seen else ())
         for t in range(5 + absent)))
-    bank = FilterBank(cfg)
+    bank = FilterBank(cfg, DELTA)
     for slot in range(seen[-1]):
-        run_predictor(trace, slot, bank)
+        run_predictor(trace.records[slot].states, bank)
         coast(bank)
         kept = slot - 3 <= cfg.coast_slots
         assert bank.uids.tolist() == ([7] if kept else []), slot
         # coasting keeps the update count
         assert bank.updates.tolist() == ([min(slot + 1, 4)] if kept else []), slot
-    run_predictor(trace, seen[-1], bank)
+    run_predictor(trace.records[seen[-1]].states, bank)
     coast(bank)
     assert bank.uids.tolist() == [7]
     z = [10.0 * seen[-1], 5.0]
@@ -206,13 +206,12 @@ def test_singular_innovation_raised_in_same_epoch_with_same_message():
     cfg = dataclasses.replace(RunConfig(), predictor=dataclasses.replace(
         RunConfig().predictor, q_diag=(0, 0, 0, 0), r_diag=(0, 0)))
     cfg = dataclasses.replace(cfg, scenario=dataclasses.replace(cfg.scenario, n_vehicles=20))
-    trace = synth_intersection(scenario_config(cfg), 4)
-    pcfg = PredictorConfig(q_diag=(0, 0, 0, 0), r_diag=(0, 0))
+    trace = synth_intersection(cfg.scenario, 4)
 
     # drive checks that the bank fails in the reference's slot with its message
     ref_slot = None
     with pytest.raises(SingularInnovation) as info:
-        for ref_slot, *_ in drive(trace, pcfg):
+        for ref_slot, *_ in drive(trace, cfg.predictor):
             pass
     ref_msg = str(info.value)
     assert ref_msg.startswith("innovation covariance is singular")

@@ -8,8 +8,8 @@ from qcpto.config import RunConfig, ScenarioSection, SweepSection
 from qcpto.model import Assignment
 from qcpto.predict import FilterBank, coast, run_predictor
 from qcpto.sim import (build_epoch, default_workers, draw_rates, grid_spec,
-                       make_synthetic_instance, predictor_config, run_scenario,
-                       run_simulation, scenario_config, solve_epoch, sweep)
+                       make_synthetic_instance, run_scenario, run_simulation,
+                       solve_epoch, sweep)
 from qcpto.trace import Trace, synth_intersection
 
 
@@ -41,18 +41,17 @@ def test_no_turning_vehicles_is_vacuous():
 
 def test_pipeline_matches_independent_solver_call():
     cfg = small_cfg()
-    trace = synth_intersection(scenario_config(cfg), 2)
+    trace = synth_intersection(cfg.scenario, 2)
     workers = default_workers(cfg, 3)
     _, epochs = run_simulation(trace, workers, "exact", cfg, seed=2)
 
     # rebuild the epoch contexts independently and re-solve
-    pcfg = predictor_config(cfg)
     gspec = grid_spec(cfg)
     rates = draw_rates(trace.user_ids(), len(workers), cfg, 2 + 2)
-    bank = FilterBank(pcfg)
+    bank = FilterBank(cfg.predictor, cfg.scenario.delta_s)
     checked = 0
     for rec in trace.records:
-        rois = run_predictor(trace, rec.slot, bank)
+        rois = run_predictor(rec.states, bank)
         coast(bank)
         states = {s.user_id: s for s in rec.states}
         ctx = build_epoch(rec.slot, rois, states, rates, workers, cfg, gspec)
@@ -77,7 +76,7 @@ def test_runs_are_deterministic():
 
 def test_no_lookahead_prefix_property():
     cfg = small_cfg()
-    trace = synth_intersection(scenario_config(cfg), 4)
+    trace = synth_intersection(cfg.scenario, 4)
     workers = default_workers(cfg, 5)
     _, full = run_simulation(trace, workers, "exact", cfg, seed=4)
     cut = 12
@@ -88,7 +87,7 @@ def test_no_lookahead_prefix_property():
 
 def test_removing_a_worker_never_raises_exact_objective():
     cfg = small_cfg()
-    trace = synth_intersection(scenario_config(cfg), 6)
+    trace = synth_intersection(cfg.scenario, 6)
     workers = default_workers(cfg, 7)
     _, full = run_simulation(trace, workers, "exact", cfg, seed=6)
     _, fewer = run_simulation(trace, workers[:-1], "exact", cfg, seed=6)
@@ -179,7 +178,7 @@ def test_measurement_noise_flag_changes_predictions_deterministically():
 
 def test_run_simulation_rejects_bad_input():
     cfg = small_cfg()
-    trace = synth_intersection(scenario_config(cfg), 1)
+    trace = synth_intersection(cfg.scenario, 1)
     with pytest.raises(ValueError):
         run_simulation(trace, [], "exact", cfg, seed=0)
     with pytest.raises(ValueError):

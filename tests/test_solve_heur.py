@@ -5,13 +5,13 @@ import random
 import numpy as np
 import pytest
 
+from qcpto.config import SolverSection
 from qcpto.geometry import QualityMatrix
 from qcpto.model import Assignment
 from qcpto.qmkp import (QmkpInstance, check_feasible, enumerate_optimal,
                         evaluate_objective, random_instance, repair_min_pair)
 from qcpto.solve_exact import solve_exact
-from qcpto.solve_heur import (HeurConfig, fix_and_complete, greedy_bin_packing,
-                              solve_heuristic)
+from qcpto.solve_heur import fix_and_complete, greedy_bin_packing, solve_heuristic
 
 
 def quality(entries, n):
@@ -112,7 +112,7 @@ def test_fix_and_complete_is_seed_reproducible():
 
 def test_heuristic_solves_trivial_instance_exactly():
     inst = QmkpInstance(quality({(0, 1): 0.5}, 2), capacity=(2.0,))
-    sol = solve_heuristic(inst, HeurConfig(seed=0))
+    sol = solve_heuristic(inst, SolverSection(), 0)
     assert sol.objective == pytest.approx(0.5)
 
 
@@ -120,7 +120,7 @@ def test_heuristic_trajectory_is_monotone():
     rng = np.random.default_rng(13)
     for s in range(10):
         inst = random_instance(rng)
-        sol = solve_heuristic(inst, HeurConfig(seed=s))
+        sol = solve_heuristic(inst, SolverSection(), s)
         traj = sol.trajectory
         assert all(a <= b for a, b in zip(traj, traj[1:]))
 
@@ -129,7 +129,7 @@ def test_heuristic_always_feasible():
     rng = np.random.default_rng(29)
     for s in range(30):
         inst = random_instance(rng)
-        sol = solve_heuristic(inst, HeurConfig(seed=s))
+        sol = solve_heuristic(inst, SolverSection(), s)
         ok, violations = check_feasible(sol.assignment, inst)
         assert ok, violations
 
@@ -137,8 +137,8 @@ def test_heuristic_always_feasible():
 def test_heuristic_deterministic_for_fixed_seed():
     rng = np.random.default_rng(37)
     inst = random_instance(rng)
-    a = solve_heuristic(inst, HeurConfig(seed=4))
-    b = solve_heuristic(inst, HeurConfig(seed=4))
+    a = solve_heuristic(inst, SolverSection(), 4)
+    b = solve_heuristic(inst, SolverSection(), 4)
     assert a.assignment == b.assignment
     assert a.objective == b.objective
     assert a.trajectory == b.trajectory
@@ -147,7 +147,7 @@ def test_heuristic_deterministic_for_fixed_seed():
 def test_heuristic_zero_iterations_equals_greedy():
     rng = np.random.default_rng(41)
     inst = random_instance(rng)
-    sol = solve_heuristic(inst, HeurConfig(seed=0, max_iters=0))
+    sol = solve_heuristic(inst, SolverSection(max_iters=0), 0)
     assert sol.assignment == repair_min_pair(Assignment.from_key(greedy_bin_packing(inst)))
 
 
@@ -157,7 +157,7 @@ def test_heuristic_never_beats_exact():
         inst = random_instance(rng)
         exact = solve_exact(inst)
         assert not exact.budget_exceeded
-        heur = solve_heuristic(inst, HeurConfig(seed=s))
+        heur = solve_heuristic(inst, SolverSection(), s)
         assert heur.objective <= exact.objective + 1e-9
 
 
@@ -167,7 +167,7 @@ def test_heuristic_gap_small_on_random_corpus():
     for s in range(30):
         inst = random_instance(rng)
         opt = enumerate_optimal(inst).objective
-        heur = solve_heuristic(inst, HeurConfig(seed=s)).objective
+        heur = solve_heuristic(inst, SolverSection(), s).objective
         gaps.append((opt - heur) / opt if opt > 0 else 0.0)
     assert np.mean(gaps) <= 0.05
     assert max(gaps) <= 0.15
@@ -179,7 +179,7 @@ def all_on_one(inst):
 
 def test_heuristic_stops_at_once_for_a_single_user():
     inst = QmkpInstance(quality({}, 1), capacity=(2.0,))
-    sol = solve_heuristic(inst, HeurConfig(seed=0))
+    sol = solve_heuristic(inst, SolverSection(), 0)
     assert sol.iterations == 0
     assert sol.objective == all_on_one(inst) == 0.0
 
@@ -192,7 +192,7 @@ def test_heuristic_stops_at_once_when_one_worker_holds_the_queue():
         caps = (float(rng.integers(0, n + 1)), float(n), float(rng.integers(0, n + 1)))
         inst = QmkpInstance(QualityMatrix(upper + upper.T), capacity=caps,
                             allowed=np.ones((n, 3), dtype=bool))
-        sol = solve_heuristic(inst, HeurConfig(seed=s))
+        sol = solve_heuristic(inst, SolverSection(), s)
         assert sol.iterations == 0
         assert sol.trajectory == (sol.objective,)
         assert sol.objective == all_on_one(inst)
@@ -201,8 +201,8 @@ def test_heuristic_stops_at_once_when_one_worker_holds_the_queue():
 def test_heuristic_searches_on_when_the_ceiling_is_out_of_reach():
     inst = QmkpInstance(
         quality({(0, 1): 0.8, (0, 2): 0.3, (1, 2): 0.1}, 3), capacity=(2.0,))
-    cfg = HeurConfig(seed=0)
-    sol = solve_heuristic(inst, cfg)
+    cfg = SolverSection()
+    sol = solve_heuristic(inst, cfg, 0)
     assert sol.objective == pytest.approx(0.8) and sol.objective < all_on_one(inst)
     assert sol.iterations >= cfg.patience
 
@@ -218,7 +218,7 @@ def test_heuristic_stops_only_at_the_exact_all_pairs_sum():
     ceiling = all_on_one(inst)
     assert ceiling == math.nextafter(2.0, 3.0)
     for s in range(10):
-        sol = solve_heuristic(inst, HeurConfig(seed=s))
+        sol = solve_heuristic(inst, SolverSection(), s)
         assert sol.objective == ceiling
         # the search ends at the first iteration whose best reaches it
         assert sol.trajectory.index(ceiling) == sol.iterations
@@ -236,16 +236,7 @@ def test_heuristic_outputs_match_the_pinned_digest():
         rng = np.random.default_rng(corpus_seed)
         for s in range(25):
             inst = random_instance(rng)
-            sol = solve_heuristic(inst, HeurConfig(seed=s))
+            sol = solve_heuristic(inst, SolverSection(), s)
             h.update(repr((sol.assignment.key(inst.n), repr(sol.objective))).encode())
     assert h.hexdigest() == HEUR_CORPUS_DIGEST
-
-
-def test_heur_config_validation():
-    with pytest.raises(ValueError):
-        HeurConfig(alpha=0.0)
-    with pytest.raises(ValueError):
-        HeurConfig(alpha=1.0)
-    with pytest.raises(ValueError):
-        HeurConfig(max_iters=-1)
 

@@ -1,11 +1,15 @@
+import dataclasses
 import math
 
 import pytest
 
+from qcpto.config import RunConfig, ScenarioSection, validate_config
 from qcpto.errors import ConfigError, InvariantError, ParseError
 from qcpto.model import VehicleState
-from qcpto.trace import (CSV_HEADER, ScenarioConfig, SlotRecord, Trace, check_routes,
-                         load_trace, save_trace, synth_intersection)
+from qcpto.trace import (CSV_HEADER, SlotRecord, Trace, check_routes, load_trace,
+                         save_trace, synth_intersection)
+
+from oracles import first_route
 
 
 def write(tmp_path, body):
@@ -81,7 +85,7 @@ def test_save_load_round_trip(tmp_path):
     save_trace(hand, path)
     assert load_trace(path, delta=1.0) == hand
 
-    synth = synth_intersection(ScenarioConfig(n_vehicles=6), 4).trim()
+    synth = synth_intersection(ScenarioSection(n_vehicles=6), 4).trim()
     save_trace(synth, path)
     assert load_trace(path, delta=1.0) == synth
 
@@ -98,20 +102,20 @@ def test_trace_requires_contiguous_slots():
 
 
 def test_synth_is_deterministic():
-    cfg = ScenarioConfig(n_vehicles=10)
+    cfg = ScenarioSection(n_vehicles=10)
     assert synth_intersection(cfg, 42) == synth_intersection(cfg, 42)
     assert synth_intersection(cfg, 42) != synth_intersection(cfg, 43)
 
 
 def test_synth_zero_vehicles_gives_empty_slots():
-    trace = synth_intersection(ScenarioConfig(n_vehicles=0), 1)
+    trace = synth_intersection(ScenarioSection(n_vehicles=0), 1)
     assert trace.n_slots == 60
     assert all(rec.states == () for rec in trace.records)
 
 
 def test_synth_right_turn_heading_change():
-    cfg = ScenarioConfig(n_vehicles=1, turn_probs=(0, 1, 0), recirculate=False)
-    trace = synth_intersection(cfg, 7)
+    cfg = ScenarioSection(n_vehicles=1, turn_probs=(0, 1, 0))
+    trace = first_route(synth_intersection(cfg, 7))
     states = [s for rec in trace.records for s in rec.states]
     assert states
     diff = ((states[-1].heading - states[0].heading + math.pi) % (2 * math.pi)
@@ -120,27 +124,21 @@ def test_synth_right_turn_heading_change():
 
 
 def test_synth_respects_speed_limit():
-    cfg = ScenarioConfig(n_vehicles=20)
+    cfg = ScenarioSection(n_vehicles=20)
     trace = synth_intersection(cfg, 9)
-    assert all(s.speed <= cfg.max_speed + 1e-9
+    max_speed = cfg.max_speed_kmh / 3.6
+    assert all(s.speed <= max_speed + 1e-9
                for rec in trace.records for s in rec.states)
-    assert trace.speed_violations(cfg.max_speed, cfg.delta) == []
+    assert trace.speed_violations(max_speed, cfg.delta_s) == []
 
 
 def test_synth_positions_stay_in_region():
-    cfg = ScenarioConfig(n_vehicles=25)
+    cfg = ScenarioSection(n_vehicles=25)
     trace = synth_intersection(cfg, 13)
     for rec in trace.records:
         for s in rec.states:
             assert -1e-9 <= s.position[0] <= cfg.region_w + 1e-9
             assert -1e-9 <= s.position[1] <= cfg.region_h + 1e-9
-
-
-def test_scenario_config_rejects_bad_values():
-    with pytest.raises(ConfigError):
-        ScenarioConfig(region_w=-5.0)
-    with pytest.raises(ConfigError):
-        ScenarioConfig(duration=0.0)
 
 
 @pytest.mark.parametrize("region,lanes,radius,fits", [
@@ -153,8 +151,8 @@ def test_scenario_config_rejects_bad_values():
 ])
 def test_check_routes_accepts_exactly_the_radii_synth_can_build(region, lanes, radius,
                                                                 fits):
-    cfg = ScenarioConfig(region_w=region, region_h=region, lanes_per_direction=lanes,
-                         arc_radius=radius, n_vehicles=40)
+    cfg = ScenarioSection(region_w=region, region_h=region, lanes_per_direction=lanes,
+                          arc_radius_m=radius, n_vehicles=40)
     if fits:
         check_routes(cfg)
         for seed in range(3):
@@ -164,3 +162,39 @@ def test_check_routes_accepts_exactly_the_radii_synth_can_build(region, lanes, r
             check_routes(cfg)
         with pytest.raises(ConfigError):
             synth_intersection(cfg, 0)
+
+
+# every key of the scenario section that synth_intersection reads, set to a
+# valid value other than its default
+TRACE_KEYS = {
+    "region_w": 180.0,
+    "region_h": 180.0,
+    "lanes_per_direction": 3,
+    "lane_width": 3.0,
+    "max_speed_kmh": 50.0,
+    "duration_s": 50.0,
+    "delta_s": 0.5,
+    "arc_radius_m": 10.0,
+    "n_vehicles": 41,
+    "turn_probs": (0.5, 0.25, 0.25),
+    "spawn_window_frac": 0.5,
+    "speed_frac": (0.6, 0.9),
+    "turn_speed_frac": 0.4,
+    "slow_margin_m": 6.0,
+    "heading_settle_slots": 2.0,
+    "spawn_jitter_m": 2.0,
+}
+
+
+def test_trace_keys_are_the_scenario_keys_before_the_task_keys():
+    names = [f.name for f in dataclasses.fields(ScenarioSection)]
+    assert list(TRACE_KEYS) == names[:names.index("workload_cycles")]
+
+
+@pytest.mark.parametrize("key", list(TRACE_KEYS))
+def test_each_trace_key_changes_the_seeded_trace(key):
+    base = ScenarioSection(n_vehicles=40)
+    changed = dataclasses.replace(base, **{key: TRACE_KEYS[key]})
+    assert getattr(changed, key) != getattr(base, key)
+    validate_config(dataclasses.replace(RunConfig(), scenario=changed))
+    assert synth_intersection(changed, 3) != synth_intersection(base, 3)
