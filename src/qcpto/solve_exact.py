@@ -2,22 +2,41 @@
 
 Users are branched in decreasing order of total pairwise quality; each node
 either places the next user on a worker with residual capacity or leaves it
-unassigned. The admissible bound adds, for every undecided user, the sum of
-its largest possible pairwise gains (a user admitted to a worker can meet at
-most capacity-1 co-residents). Leaves violating the two-user minimum are
-rejected. Ties on the objective resolve to the lexicographically smallest
-assignment vector, with "unassigned" ordered before any worker so that users
-contributing nothing stay out of the system.
+unassigned. The search credits a user only with gains toward users branched
+before it, so the admissible bound adds, for every undecided user, its
+largest max_cap-1 gains toward its predecessors in the branching order (a
+user admitted to a worker can meet at most capacity-1 co-residents, all
+placed earlier). Workers with the same capacity and the same eligibility
+column are interchangeable: a user opens only the lowest-index empty worker
+of each such class. Leaves violating the two-user minimum are rejected. A
+leaf that ties or beats the incumbent is first relabelled to the
+lexicographically smallest of its class permutations, so ties resolve to
+the lexicographically smallest assignment vector, with "unassigned" ordered
+before any worker so that users contributing nothing stay out of the system.
 """
 from __future__ import annotations
-
-import numpy as np
 
 from .model import Assignment
 from .qmkp import (QmkpInstance, Solution, check_feasible, evaluate_objective,
                    repair_min_pair)
 
 BOUND_SLACK = 1e-9
+
+
+def _suffix_bound(q, order, caps) -> list[float]:
+    """``bound[t]``: the most the users ``order[t:]`` can still add to the objective.
+
+    The user at branching position s gains only toward co-residents placed
+    before it, at most max_cap-1 of ``order[:s]``, so its term is the sum of
+    its largest max_cap-1 values of ``q[order[s], order[:s]]``.
+    """
+    n = len(order)
+    top = max(max(caps, default=0) - 1, 0)
+    bound = [0.0] * (n + 1)
+    for t in range(n - 1, -1, -1):
+        row = sorted((float(q[order[t], k]) for k in order[:t]), reverse=True)
+        bound[t] = bound[t + 1] + sum(row[:top])
+    return bound
 
 
 def solve_exact(inst: QmkpInstance, budget: int = 2_000_000) -> Solution:
@@ -34,16 +53,21 @@ def solve_exact(inst: QmkpInstance, budget: int = 2_000_000) -> Solution:
     q = inst.quality.q
     caps = [int(c) for c in inst.capacity]
     order = sorted(range(n), key=lambda i: (-float(q[i].sum()), i))
+    suffix = _suffix_bound(q, order, caps)
 
-    max_cap = max(caps, default=0)
-    top = min(max(max_cap - 1, 0), max(n - 1, 0))
-    opt_gain = np.zeros(n)
-    for i in range(n):
-        row = np.sort(q[i])[::-1]
-        opt_gain[i] = float(row[:top].sum())
-    suffix = [0.0] * (n + 1)
-    for t in range(n - 1, -1, -1):
-        suffix[t] = suffix[t + 1] + float(opt_gain[order[t]])
+    # workers of one capacity and one eligibility column are interchangeable
+    classes: dict[tuple, list[int]] = {}
+    for j in range(m):
+        column = () if inst.allowed is None else tuple(inst.allowed[:, j].tolist())
+        classes.setdefault((caps[j], column), []).append(j)
+    class_of: list[list[int]] = [[] for _ in range(m)]
+    # the next lower worker of j's class; the empty workers of a class stay a
+    # suffix of its indices, so an empty j opens only while this twin is in use
+    twin = [-1] * m
+    for workers in classes.values():
+        for k, j in enumerate(workers):
+            class_of[j] = workers
+            twin[j] = workers[k - 1] if k else -1
 
     from .solve_heur import greedy_bin_packing  # incumbent warm start
     warm = repair_min_pair(Assignment.from_key(greedy_bin_packing(inst)))
@@ -60,15 +84,28 @@ def solve_exact(inst: QmkpInstance, budget: int = 2_000_000) -> Solution:
     members: list[list[int]] = [[] for _ in range(m)]
     state = {"nodes": 0, "exceeded": False}
 
+    def lex_smallest_image() -> list[int]:
+        """``x`` with each class's used workers renamed to that class's lowest
+        indices, in order of first use by user id."""
+        rename: dict[int, int] = {}
+        opened = [0] * m  # per class, indexed by its lowest worker
+        for j in x:
+            if j >= 0 and j not in rename:
+                workers = class_of[j]
+                rename[j] = workers[opened[workers[0]]]
+                opened[workers[0]] += 1
+        return [rename.get(j, -1) for j in x]
+
     def consider_leaf(obj_inc: float) -> None:
         nonlocal best_assignment, best_obj, best_key
         if any(c == 1 for c in counts):
             return
         if obj_inc < best_obj - BOUND_SLACK:
             return
-        cand = Assignment.from_key(x)
+        image = lex_smallest_image()
+        cand = Assignment.from_key(image)
         val = evaluate_objective(cand, q)
-        key = tuple(x)
+        key = tuple(image)
         if val > best_obj or (val == best_obj and key < best_key):
             best_assignment, best_obj, best_key = cand, val, key
 
@@ -87,6 +124,8 @@ def solve_exact(inst: QmkpInstance, budget: int = 2_000_000) -> Solution:
         u = order[t]
         options: list[tuple[float, int]] = []
         for j in range(m):
+            if counts[j] == 0 and twin[j] >= 0 and counts[twin[j]] == 0:
+                continue  # a lower empty twin stands for this worker
             if counts[j] < caps[j] and inst.is_allowed(u, j):
                 gain = sum(float(q[u, k]) for k in members[j])
                 options.append((gain, j))

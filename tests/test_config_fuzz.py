@@ -3,9 +3,10 @@
 Random config documents must either load or raise ConfigError, and a loaded
 config must build every library object the pipeline builds from it. Random
 small instances must give feasible heuristic results and exact objectives
-equal to exhaustive enumeration, and no assignment may score above the
-all-on-one-worker sum at which the heuristic stops searching. The runs are
-derandomized and keep no example database, so they repeat exactly.
+equal to exhaustive enumeration, the exact search's bound must lie between
+the optimum and the all-rows bound it replaced, and no assignment may score
+above the all-on-one-worker sum at which the heuristic stops searching. The
+runs are derandomized and keep no example database, so they repeat exactly.
 """
 import tempfile
 from pathlib import Path
@@ -23,7 +24,7 @@ from qcpto.model import Assignment
 from qcpto.predict import FilterBank
 from qcpto.qmkp import (QmkpInstance, check_feasible, enumerate_optimal, evaluate_objective,
                         repair_deadline)
-from qcpto.solve_exact import solve_exact
+from qcpto.solve_exact import BOUND_SLACK, _suffix_bound, solve_exact
 from qcpto.solve_heur import solve_heuristic
 from qcpto.trace import check_routes
 
@@ -160,6 +161,46 @@ def test_heuristic_result_is_feasible(inst, solver, seed):
 @given(instances(max_n=6, max_m=2, latency=False))
 def test_exact_matches_enumeration(inst):
     assert solve_exact(inst).objective == enumerate_optimal(inst).objective
+
+
+@st.composite
+def symmetric_instances(draw, max_n=6, max_m=3):
+    """Workers drawn from two capacities, so classes of twins are common."""
+    n = draw(st.integers(2, max_n))
+    m = draw(st.integers(1, max_m))
+    upper = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+                          min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    q = np.zeros((n, n))
+    iu, ik = np.triu_indices(n, 1)
+    q[iu, ik] = upper
+    q[ik, iu] = upper
+    caps = tuple(draw(st.lists(st.sampled_from([2, 3]), min_size=m, max_size=m)))
+    return QmkpInstance(quality=QualityMatrix(q), capacity=caps)
+
+
+def all_rows_bound(q, order, caps):
+    """The bound before the predecessor rule: every user's top max_cap-1 gains
+    over its whole row, accumulated over the branching order."""
+    n = len(order)
+    top = min(max(max(caps, default=0) - 1, 0), max(n - 1, 0))
+    bound = [0.0] * (n + 1)
+    for t in range(n - 1, -1, -1):
+        bound[t] = bound[t + 1] + sum(sorted(q[order[t]].tolist(), reverse=True)[:top])
+    return bound
+
+
+@settings(FUZZ, max_examples=150)
+@given(st.one_of(instances(max_n=6, max_m=2, latency=False), symmetric_instances()),
+       st.randoms(use_true_random=False))
+def test_exact_bound_lies_between_the_optimum_and_the_all_rows_bound(inst, rnd):
+    # the bound holds for any branching order, not only the solver's
+    order = list(range(inst.n))
+    rnd.shuffle(order)
+    q = inst.quality.q
+    caps = [int(c) for c in inst.capacity]
+    bound = _suffix_bound(q, order, caps)
+    assert bound[0] >= enumerate_optimal(inst).objective - BOUND_SLACK
+    assert all(b <= r for b, r in zip(bound, all_rows_bound(q, order, caps)))
 
 
 # mixed magnitudes make the rounding of each partial sum matter

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from qcpto.config import SolverSection
 from qcpto.geometry import QualityMatrix
 from qcpto.qmkp import (QmkpInstance, check_feasible, enumerate_optimal,
                         evaluate_objective, random_instance)
+from qcpto.sim import make_synthetic_instance
 from qcpto.solve_exact import solve_exact
+from qcpto.solve_heur import solve_heuristic
 
 
 def quality(entries, n):
@@ -107,3 +110,55 @@ def test_deterministic_tie_break_is_lexicographic():
     inst = QmkpInstance(quality({(0, 1): 0.5}, 2), capacity=(2.0, 2.0))
     sol = solve_exact(inst)
     assert sol.assignment.key(2) == (0, 0)
+
+
+def symmetric_instance(rng, split):
+    """Workers drawn from two capacities, so most of them have a twin.
+
+    About 30% of the pairs gain nothing, which makes ties common; ``split``
+    clears one eligibility entry, which splits a worker from its class.
+    """
+    n = int(rng.integers(3, 8))
+    m = int(rng.integers(2, 5))
+    upper = rng.uniform(0.0, 1.0, size=(n, n)) * (rng.random((n, n)) >= 0.3)
+    q = np.triu(upper, 1)
+    caps = tuple(int(c) for c in rng.choice([2, 3], size=m))
+    allowed = None
+    if split:
+        allowed = np.ones((n, m), dtype=bool)
+        allowed[rng.integers(n), rng.integers(m)] = False
+    return QmkpInstance(QualityMatrix(q + q.T), caps, allowed=allowed)
+
+
+def test_interchangeable_workers_resolve_to_the_enumerated_assignment():
+    # the search opens one worker per class; the answer must still be the
+    # lexicographically smallest optimum over all workers, as enumeration finds
+    rng = np.random.default_rng(17)
+    for idx in range(80):
+        inst = symmetric_instance(rng, split=idx % 2 == 1)
+        sol = solve_exact(inst)
+        assert not sol.budget_exceeded
+        assert sol.assignment == enumerate_optimal(inst).assignment, idx
+
+
+def test_twin_workers_split_by_eligibility_are_both_searched():
+    # worker 1 has worker 0's capacity, but only worker 1 may host user 2;
+    # the greedy start reaches only 0.1
+    inst = QmkpInstance(
+        quality({(0, 1): 0.3, (0, 2): 0.3, (0, 3): 0.1, (2, 3): 0.5}, 4),
+        capacity=(2.0, 2.0),
+        allowed=np.array([[True, True], [True, True], [False, True], [True, True]]))
+    sol = solve_exact(inst)
+    assert sol.assignment.key(4) == (0, 0, 1, 1)
+    assert sol.objective == pytest.approx(0.8)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_certifies_a_24_user_queue(seed):
+    # the predecessor bound and the one-worker-per-class rule finish this
+    # search well inside the default budget; it ends at the heuristic's best
+    inst = make_synthetic_instance(24, seed)
+    sol = solve_exact(inst)
+    assert not sol.budget_exceeded
+    heuristic = max(solve_heuristic(inst, SolverSection(), s).objective for s in range(4))
+    assert sol.objective == heuristic
