@@ -61,22 +61,6 @@ class GridSpec:
         return self.origin_y + (np.asarray(row) + 0.5) * self.cell_size
 
 
-@dataclass(frozen=True)
-class OccupancyGrid:
-    """Binary raster over the region; bits is row-major (height, width)."""
-
-    spec: GridSpec
-    bits: np.ndarray
-
-    def __post_init__(self):
-        if self.bits.shape != (self.spec.height, self.spec.width):
-            raise ValueError("bit count must equal width x height")
-        object.__setattr__(self, "bits", self.bits.astype(bool))
-
-    def count(self) -> int:
-        return int(self.bits.sum())
-
-
 def _edge_values(ax, ay, bx, by, px, py):
     # Cross product (b - a) x (p - a); same formula as the scalar oracle so
     # boundary cells resolve identically.
@@ -119,14 +103,17 @@ def _triangle_window(tri: TriangleLike, grid_spec: GridSpec):
     return lo_row, lo_col, inside
 
 
-def rasterize_triangle(tri: TriangleLike, grid_spec: GridSpec) -> OccupancyGrid:
-    """Rasterize a triangle: cell set iff its center is inside or on the edge."""
+def rasterize_triangle(tri: TriangleLike, grid_spec: GridSpec) -> np.ndarray:
+    """Rasterize a triangle: cell set iff its center is inside or on the edge.
+
+    Returns a row-major ``(height, width)`` bool array over the whole grid.
+    """
     bits = np.zeros((grid_spec.height, grid_spec.width), dtype=bool)
     window = _triangle_window(tri, grid_spec)
     if window is not None:
         lo_row, lo_col, inside = window
         bits[lo_row:lo_row + inside.shape[0], lo_col:lo_col + inside.shape[1]] = inside
-    return OccupancyGrid(grid_spec, bits)
+    return bits
 
 
 _NO_CELLS = np.zeros(0, dtype=np.intp)
@@ -240,14 +227,6 @@ def detected_awareness(i: int, collaborators: Iterable[int],
     # collaborators' ROIs do not enter i's awareness
     only_i = {**dict.fromkeys(others), i: rois[i]}
     return EpochRasters([i, *others], only_i, fovs, grid_spec).awareness(i, others)
-
-
-def shared_interest(i: int, k: int, rois: Mapping, fovs: Mapping,
-                    grid_spec: GridSpec, mode: str = "sum") -> float:
-    """Symmetric pairwise value of information between users i and k."""
-    if i == k:
-        raise ValueError("shared interest is defined for distinct users")
-    return float(EpochRasters([i, k], rois, fovs, grid_spec).quality(mode)[0, 1])
 
 
 @dataclass(frozen=True)

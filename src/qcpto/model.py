@@ -76,10 +76,6 @@ class Roi:
                 raise ValueError("triangle needs exactly 3 vertices")
             object.__setattr__(self, "triangle", tri)
 
-    @property
-    def empty(self) -> bool:
-        return self.triangle is None
-
 
 class Assignment:
     """User -> worker decision map; each user served by at most one worker.

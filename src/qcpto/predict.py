@@ -121,29 +121,6 @@ class CovNode:
         return self._coasted
 
 
-@dataclass(frozen=True)
-class KfState:
-    """One filter stepped on its own, every covariance checked: the plain
-    per-step form of the arithmetic a ``FilterBank`` runs on its rows."""
-
-    x_hat: np.ndarray   # (4,) [px, py, vx, vy]
-    p_cov: np.ndarray   # (4, 4)
-    a_mat: np.ndarray   # (4, 4) state transition
-    h_mat: np.ndarray   # (2, 4) position-selecting measurement matrix
-    q_proc: np.ndarray  # (4, 4) process noise covariance
-    r_meas: np.ndarray  # (2, 2) measurement noise covariance
-    updates: int = 0    # measurement updates consumed so far
-
-    def __post_init__(self):
-        for name in ("x_hat", "p_cov", "a_mat", "h_mat", "q_proc", "r_meas"):
-            object.__setattr__(self, name,
-                               _readonly(np.asarray(getattr(self, name), dtype=float)))
-        if self.x_hat.shape != (4,):
-            raise ValueError("state must be a 4-vector")
-        for name in ("p_cov", "q_proc", "r_meas"):
-            _check_psd(getattr(self, name), name)
-
-
 def cv_transition(delta: float) -> np.ndarray:
     return np.array([
         [1.0, 0.0, delta, 0.0],
@@ -174,33 +151,6 @@ def _cov_root(p: PredictorSection, delta: float) -> CovNode:
     _check_psd(model.q_proc, "q_proc")
     _check_psd(model.r_meas, "r_meas")
     return root
-
-
-def init_state(first_pos, p: PredictorSection, delta: float) -> KfState:
-    """Filter for a newly seen user: measured position, zero velocity."""
-    root = _cov_root(p, delta)
-    m = root.model
-    x0 = np.array([float(first_pos[0]), float(first_pos[1]), 0.0, 0.0])
-    return KfState(x0, root.p_cov, m.a_mat, m.h_mat, m.q_proc, m.r_meas,
-                   updates=1)
-
-
-def kf_predict(s: KfState) -> tuple[np.ndarray, np.ndarray]:
-    """One-step-ahead state and covariance prediction."""
-    return s.a_mat @ s.x_hat, _predict_cov(s.a_mat, s.p_cov, s.q_proc)
-
-
-def kf_update(s: KfState, x_pred: np.ndarray, p_pred: np.ndarray,
-              z: np.ndarray) -> KfState:
-    """Fold measurement z into the predicted state.
-
-    Raises SingularInnovation when the 2x2 innovation covariance is singular
-    beyond tolerance 1e-12.
-    """
-    innovation = np.asarray(z, dtype=float) - s.h_mat @ x_pred
-    gain, p_new = _update_cov(s.h_mat, p_pred, s.r_meas)
-    return KfState(x_pred + gain @ innovation, p_new, s.a_mat, s.h_mat,
-                   s.q_proc, s.r_meas, s.updates + 1)
 
 
 def classify_turn(current: VehicleState, predicted_pos,

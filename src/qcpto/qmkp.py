@@ -224,24 +224,6 @@ def instance_to_json(inst: QmkpInstance) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-def instance_from_json(text: str) -> QmkpInstance:
-    doc = json.loads(text)
-    n = int(doc["n"])
-    q = np.zeros((n, n))
-    iu, ik = np.triu_indices(n, 1)
-    vals = np.asarray(doc["q"], dtype=float)
-    q[iu, ik] = vals
-    q[ik, iu] = vals
-    allowed = None
-    if "allowed" in doc:
-        allowed = np.asarray(doc["allowed"], dtype=bool)
-    return QmkpInstance(
-        quality=QualityMatrix(q),
-        capacity=tuple(doc["capacities"]),
-        allowed=allowed,
-    )
-
-
 def random_instance(rng: np.random.Generator, max_n: int = 10,
                     max_m: int = 3) -> QmkpInstance:
     """Random instance for oracle corpora."""

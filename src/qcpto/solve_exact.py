@@ -19,6 +19,7 @@ from __future__ import annotations
 from .model import Assignment
 from .qmkp import (QmkpInstance, Solution, check_feasible, evaluate_objective,
                    repair_min_pair)
+from .solve_heur import greedy_bin_packing
 
 BOUND_SLACK = 1e-9
 
@@ -69,7 +70,7 @@ def solve_exact(inst: QmkpInstance, budget: int = 2_000_000) -> Solution:
             class_of[j] = workers
             twin[j] = workers[k - 1] if k else -1
 
-    from .solve_heur import greedy_bin_packing  # incumbent warm start
+    # incumbent warm start: the greedy packing, repaired
     warm = repair_min_pair(Assignment.from_key(greedy_bin_packing(inst)))
     best_assignment = warm
     best_obj = evaluate_objective(warm, q)

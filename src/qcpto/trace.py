@@ -63,22 +63,9 @@ class Trace:
     def n_slots(self) -> int:
         return len(self.records)
 
-    @property
-    def first_slot(self) -> Optional[int]:
-        return self.records[0].slot if self.records else None
-
     def user_ids(self) -> tuple[int, ...]:
         ids = {s.user_id for r in self.records for s in r.states}
         return tuple(sorted(ids))
-
-    def trim(self) -> "Trace":
-        """Drop leading and trailing empty slots."""
-        recs = list(self.records)
-        while recs and not recs[0].states:
-            recs.pop(0)
-        while recs and not recs[-1].states:
-            recs.pop()
-        return Trace(tuple(recs))
 
     def speed_violations(self, max_speed: float, delta: float,
                          tol: float = 0.10) -> list[str]:
@@ -154,16 +141,6 @@ def load_trace(path, delta: float, max_speed: Optional[float] = None) -> Trace:
         if violations:
             raise InvariantError("; ".join(violations))
     return trace
-
-
-def save_trace(trace: Trace, path) -> None:
-    """Debug helper: write a trace back to the CSV schema."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for rec in trace.records:
-            for s in rec.states:
-                fh.write(f"{rec.slot},{s.user_id},{s.position[0]!r},"
-                         f"{s.position[1]!r},{s.heading!r},{s.speed!r}\n")
 
 
 # vehicles re-enter on a fresh route after leaving, keeping the vehicle

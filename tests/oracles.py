@@ -1,12 +1,35 @@
-"""Brute-force reference implementations used to pin expected values.
+"""Reference implementations and test-only helpers.
 
-These stay independent of the library code paths they check: plain Python
-loops over every grid cell, no shared helpers with the production
-rasterizer beyond the documented cell-membership rule.
+Three kinds of entry live here:
+
+- The brute-force oracles (``raster_cells``, ``awareness_oracle``,
+  ``directional_gain_oracle``, ``shared_interest_oracle``) stay independent
+  of the library code paths they check: plain Python loops over every grid
+  cell, no shared helpers with the production rasterizer beyond the
+  documented cell-membership rule.
+- The per-step reference filter (``KfState``, ``init_state``, ``kf_predict``,
+  ``kf_update``) steps one filter at a time and checks every covariance. It
+  shares the filter bank's covariance helpers from ``qcpto.predict``
+  (``_cov_root``, ``_predict_cov``, ``_update_cov``), so it pins the bank's
+  row arithmetic and sharing, not those formulas; the closed-form checks
+  pin the formulas.
+- Convenience wrappers over library code (``shared_interest``,
+  ``save_trace``, ``instance_from_json``, ``first_route``), used to build
+  inputs or to call one piece of the pipeline on its own.
 """
 from __future__ import annotations
 
-from qcpto.trace import Trace
+import json
+from dataclasses import dataclass
+
+import numpy as np
+
+from qcpto.config import PredictorSection
+from qcpto.geometry import EpochRasters, QualityMatrix
+from qcpto.predict import (_check_psd, _cov_root, _predict_cov, _readonly,
+                           _update_cov)
+from qcpto.qmkp import QmkpInstance
+from qcpto.trace import CSV_HEADER, Trace
 
 
 def cross(ax, ay, bx, by, px, py):
@@ -82,3 +105,89 @@ def first_route(trace):
         elif seen:
             return Trace(trace.records[:k])
     return trace
+
+
+@dataclass(frozen=True)
+class KfState:
+    """One filter stepped on its own, every covariance checked: the plain
+    per-step form of the arithmetic a ``FilterBank`` runs on its rows."""
+
+    x_hat: np.ndarray   # (4,) [px, py, vx, vy]
+    p_cov: np.ndarray   # (4, 4)
+    a_mat: np.ndarray   # (4, 4) state transition
+    h_mat: np.ndarray   # (2, 4) position-selecting measurement matrix
+    q_proc: np.ndarray  # (4, 4) process noise covariance
+    r_meas: np.ndarray  # (2, 2) measurement noise covariance
+    updates: int = 0    # measurement updates consumed so far
+
+    def __post_init__(self):
+        for name in ("x_hat", "p_cov", "a_mat", "h_mat", "q_proc", "r_meas"):
+            object.__setattr__(self, name,
+                               _readonly(np.asarray(getattr(self, name), dtype=float)))
+        if self.x_hat.shape != (4,):
+            raise ValueError("state must be a 4-vector")
+        for name in ("p_cov", "q_proc", "r_meas"):
+            _check_psd(getattr(self, name), name)
+
+
+def init_state(first_pos, p: PredictorSection, delta: float) -> KfState:
+    """Filter for a newly seen user: measured position, zero velocity."""
+    root = _cov_root(p, delta)
+    m = root.model
+    x0 = np.array([float(first_pos[0]), float(first_pos[1]), 0.0, 0.0])
+    return KfState(x0, root.p_cov, m.a_mat, m.h_mat, m.q_proc, m.r_meas,
+                   updates=1)
+
+
+def kf_predict(s: KfState) -> tuple[np.ndarray, np.ndarray]:
+    """One-step-ahead state and covariance prediction."""
+    return s.a_mat @ s.x_hat, _predict_cov(s.a_mat, s.p_cov, s.q_proc)
+
+
+def kf_update(s: KfState, x_pred: np.ndarray, p_pred: np.ndarray,
+              z: np.ndarray) -> KfState:
+    """Fold measurement z into the predicted state.
+
+    Raises SingularInnovation when the 2x2 innovation covariance is singular
+    beyond tolerance 1e-12.
+    """
+    innovation = np.asarray(z, dtype=float) - s.h_mat @ x_pred
+    gain, p_new = _update_cov(s.h_mat, p_pred, s.r_meas)
+    return KfState(x_pred + gain @ innovation, p_new, s.a_mat, s.h_mat,
+                   s.q_proc, s.r_meas, s.updates + 1)
+
+
+def shared_interest(i, k, rois, fovs, grid_spec, mode="sum") -> float:
+    """Symmetric pairwise value of information between users i and k."""
+    if i == k:
+        raise ValueError("shared interest is defined for distinct users")
+    return float(EpochRasters([i, k], rois, fovs, grid_spec).quality(mode)[0, 1])
+
+
+def save_trace(trace: Trace, path) -> None:
+    """Write a trace in the CSV schema that ``qcpto.trace.load_trace`` reads."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(CSV_HEADER + "\n")
+        for rec in trace.records:
+            for s in rec.states:
+                fh.write(f"{rec.slot},{s.user_id},{s.position[0]!r},"
+                         f"{s.position[1]!r},{s.heading!r},{s.speed!r}\n")
+
+
+def instance_from_json(text: str) -> QmkpInstance:
+    """Inverse of ``qcpto.qmkp.instance_to_json``."""
+    doc = json.loads(text)
+    n = int(doc["n"])
+    q = np.zeros((n, n))
+    iu, ik = np.triu_indices(n, 1)
+    vals = np.asarray(doc["q"], dtype=float)
+    q[iu, ik] = vals
+    q[ik, iu] = vals
+    allowed = None
+    if "allowed" in doc:
+        allowed = np.asarray(doc["allowed"], dtype=bool)
+    return QmkpInstance(
+        quality=QualityMatrix(q),
+        capacity=tuple(doc["capacities"]),
+        allowed=allowed,
+    )

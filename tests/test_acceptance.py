@@ -14,16 +14,17 @@ from qcpto.cli import main
 from qcpto.config import PredictorSection, RunConfig, SolverSection
 from qcpto.geometry import (EpochRasters, GridSpec, QualityMatrix,
                             build_quality_matrix, detected_awareness,
-                            rasterize_triangle, shared_interest)
+                            rasterize_triangle)
 from qcpto.metrics import epoch_metrics
 from qcpto.model import Assignment, Roi, Turn, Worker
-from qcpto.predict import KfState, init_state, kf_predict, kf_update
 from qcpto.qmkp import QmkpInstance, enumerate_optimal, random_instance
 from qcpto.sim import make_synthetic_instance, run_scenario
 from qcpto.solve_exact import solve_exact
 from qcpto.solve_heur import solve_heuristic
 
-from oracles import raster_cells, awareness_oracle, shared_interest_oracle
+from oracles import (KfState, awareness_oracle, init_state, kf_predict,
+                     kf_update, raster_cells, shared_interest,
+                     shared_interest_oracle)
 
 CORPUS_SEED = 20240601
 
@@ -163,7 +164,7 @@ def test_criterion_7_geometry_oracle():
                 for _ in range(4)]
         roi_i, fov_i, roi_k, fov_k = tris
         got = rasterize_triangle(roi_i, grid)
-        rows, cols = np.nonzero(got.bits)
+        rows, cols = np.nonzero(got)
         assert set(zip(rows.tolist(), cols.tolist())) == raster_cells(roi_i, grid)
 
         rois = {0: Roi(triangle=roi_i, turn=Turn.LEFT),

@@ -103,8 +103,8 @@ def test_random_queues_match_oracles(monkeypatch):
 
 def full_grid_quality(ids, rois, fovs, spec):
     """Quality matrix as computed before the raster bank: full-grid masks per pair."""
-    roi = {u: rasterize_triangle(rois[u].triangle, spec).bits for u in ids}
-    fov = {u: rasterize_triangle(fovs[u], spec).bits for u in ids}
+    roi = {u: rasterize_triangle(rois[u].triangle, spec) for u in ids}
+    fov = {u: rasterize_triangle(fovs[u], spec) for u in ids}
 
     def gain(i, k):
         total = int(roi[i].sum())
@@ -121,13 +121,13 @@ def full_grid_quality(ids, rois, fovs, spec):
 
 
 def full_grid_awareness(i, collaborators, rois, fovs, spec):
-    roi = rasterize_triangle(rois[i].triangle, spec).bits
+    roi = rasterize_triangle(rois[i].triangle, spec)
     total = int(roi.sum())
     if total == 0:
         return 0.0
-    cover = rasterize_triangle(fovs[i], spec).bits
+    cover = rasterize_triangle(fovs[i], spec)
     for k in sorted(set(collaborators) - {i}):
-        cover = cover | rasterize_triangle(fovs[k], spec).bits
+        cover = cover | rasterize_triangle(fovs[k], spec)
     return int((roi & cover).sum()) / total
 
 

@@ -15,7 +15,7 @@ def test_heading_normalization():
 
 def test_roi_straight_is_empty():
     roi = Roi(triangle=None, turn=Turn.STRAIGHT)
-    assert roi.empty
+    assert roi.triangle is None
 
 
 def test_assignment_single_worker_per_user():

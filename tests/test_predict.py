@@ -8,12 +8,11 @@ import pytest
 from qcpto.config import PredictorSection, RunConfig, ScenarioSection, validate_config
 from qcpto.errors import SingularInnovation
 from qcpto.model import Turn, VehicleState
-from qcpto.predict import (FilterBank, KfState, classify_turn, coast,
-                           cv_transition, estimate_roi, init_state, kf_predict,
-                           kf_update, run_predictor)
+from qcpto.predict import (FilterBank, classify_turn, coast, cv_transition,
+                           estimate_roi, run_predictor)
 from qcpto.trace import synth_intersection
 
-from oracles import first_route
+from oracles import KfState, first_route, init_state, kf_predict, kf_update
 
 
 def make_state(x=None, p=None, a=None, q=None, r=None):
@@ -158,7 +157,7 @@ def test_estimate_roi_right_turn_geometry():
 
 def test_estimate_roi_straight_is_empty():
     s = VehicleState(0, (0.0, 0.0), 0.0, 5.0, 0)
-    assert estimate_roi(s, Turn.STRAIGHT, 10.0).empty
+    assert estimate_roi(s, Turn.STRAIGHT, 10.0).triangle is None
 
 
 def test_estimate_roi_rotation_equivariance_and_area():

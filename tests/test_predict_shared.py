@@ -16,11 +16,12 @@ import pytest
 from qcpto.config import PredictorSection, RunConfig, ScenarioSection
 from qcpto.errors import SingularInnovation
 from qcpto.model import Turn, VehicleState
-from qcpto.predict import (MEASUREMENT_MATRIX, FilterBank, KfState,
-                           classify_turn, coast, cv_transition, estimate_roi,
-                           run_predictor)
+from qcpto.predict import (MEASUREMENT_MATRIX, FilterBank, classify_turn,
+                           coast, cv_transition, estimate_roi, run_predictor)
 from qcpto.sim import default_workers, run_simulation
 from qcpto.trace import SlotRecord, Trace, synth_intersection
+
+from oracles import KfState
 
 DELTA = 1.0  # slot length of every trace here
 

@@ -5,9 +5,10 @@ from qcpto.errors import DomainError
 from qcpto.geometry import QualityMatrix
 from qcpto.model import Assignment
 from qcpto.qmkp import (QmkpInstance, check_feasible, enumerate_optimal,
-                        evaluate_objective, instance_from_json,
-                        instance_to_json, random_instance, repair_deadline,
-                        repair_min_pair)
+                        evaluate_objective, instance_to_json, random_instance,
+                        repair_deadline, repair_min_pair)
+
+from oracles import instance_from_json
 
 
 def quality(entries, n):

@@ -55,7 +55,7 @@ def test_pipeline_matches_independent_solver_call():
         coast(bank)
         states = {s.user_id: s for s in rec.states}
         ctx = build_epoch(rec.slot, rois, states, rates, workers, cfg, gspec)
-        log = epochs[rec.slot - trace.first_slot]
+        log = epochs[rec.slot - trace.records[0].slot]
         assert log.queue == ctx.queue_ids
         if ctx.instance is not None and len(ctx.queue_ids) >= 3:
             inst_assignment = solve_epoch(ctx, "exact", cfg, 2 * 1_000_003 + rec.slot)

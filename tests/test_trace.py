@@ -7,9 +7,9 @@ from qcpto.config import RunConfig, ScenarioSection, validate_config
 from qcpto.errors import ConfigError, InvariantError, ParseError
 from qcpto.model import VehicleState
 from qcpto.trace import (CSV_HEADER, SlotRecord, Trace, check_routes, load_trace,
-                         save_trace, synth_intersection)
+                         synth_intersection)
 
-from oracles import first_route
+from oracles import first_route, save_trace
 
 
 def write(tmp_path, body):
@@ -85,7 +85,9 @@ def test_save_load_round_trip(tmp_path):
     save_trace(hand, path)
     assert load_trace(path, delta=1.0) == hand
 
-    synth = synth_intersection(ScenarioSection(n_vehicles=6), 4).trim()
+    synth = synth_intersection(ScenarioSection(n_vehicles=6), 4)
+    occupied = [k for k, rec in enumerate(synth.records) if rec.states]
+    synth = Trace(synth.records[occupied[0]:occupied[-1] + 1])
     save_trace(synth, path)
     assert load_trace(path, delta=1.0) == synth
 
