@@ -1,8 +1,8 @@
 """Comparison schemes: greedy capacity filling and uniform count maximization.
 
 Both ignore pairwise quality entirely. Range filtering (the ``allowed``
-mask) applies exactly as it does to the quality-aware solvers; the instance
-carries user-worker distances when nearest-first selection is wanted.
+mask) applies exactly as it does to the quality-aware solvers; go ranks the
+eligible workers by the instance's user-worker distances.
 """
 from __future__ import annotations
 
@@ -19,11 +19,12 @@ def _fill(inst: QmkpInstance, rank: Callable[[int, int, list[int]], tuple]) -> A
     counts placed so far.
     """
     caps = [int(c) for c in inst.capacity]
+    allowed = inst.allowed
     counts = [0] * inst.m
     x = [-1] * inst.n
     for u in range(inst.n):
         cands = [j for j in range(inst.m)
-                 if counts[j] < caps[j] and inst.is_allowed(u, j)]
+                 if counts[j] < caps[j] and allowed[u, j]]
         if cands:
             x[u] = min(cands, key=lambda j: rank(u, j, counts))
             counts[x[u]] += 1
@@ -33,7 +34,7 @@ def _fill(inst: QmkpInstance, rank: Callable[[int, int, list[int]], tuple]) -> A
 def solve_go(inst: QmkpInstance) -> Assignment:
     """Greedy offloading: users in id order onto the nearest eligible worker."""
     dist = inst.distance
-    return _fill(inst, lambda u, j, counts: (0.0 if dist is None else float(dist[u, j]), j))
+    return _fill(inst, lambda u, j, counts: (float(dist[u, j]), j))
 
 
 def solve_cpto(inst: QmkpInstance) -> Assignment:

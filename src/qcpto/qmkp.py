@@ -1,13 +1,15 @@
 """Quadratic multiple knapsack instances and shared solver machinery.
 
-An instance holds the pairwise quality matrix, per-worker capacities, and
-optionally the latency data needed for density sorting and strict deadline
-checks. Every user weighs one unit, so a capacity is the number of
-collaborators a worker may host. ``QmkpInstance.from_task`` derives both
+An instance holds the pairwise quality matrix, per-worker capacities and
+the one offloading task every user runs: the comm-range eligibility mask,
+user-worker distances, worker CPU, uplink times, the task's workload l and
+its deadline kappa. Every user weighs one unit, so a capacity is the number
+of collaborators a worker may host. ``QmkpInstance.from_task`` derives both
 from the offloading model: user i's response latency on worker j, shared by
 eta users, is l * eta / C_j + lambda / R_ij (computation plus uplink;
 propagation and the returned result are negligible), and worker j hosts at
-most floor(kappa * C_j / l) users.
+most floor(kappa * C_j / l) users. Every field is checked once, on
+construction.
 
 The exhaustive enumerator here is the correctness oracle for the exact
 solver: it scores every feasible assignment by brute force and never shares
@@ -26,53 +28,49 @@ from .errors import DomainError
 from .geometry import QualityMatrix
 from .model import Assignment
 
-_LATENCY_FIELDS = ("workload", "cpu", "transmit", "kappa")
-
 
 @dataclass(frozen=True)
 class QmkpInstance:
     quality: QualityMatrix
-    capacity: tuple[float, ...]                 # per-worker collaborator count
-    allowed: Optional[np.ndarray] = None        # (n, m) bool, comm-range eligibility
-    distance: Optional[np.ndarray] = None       # (n, m) meters, used by baselines
-    workload: Optional[np.ndarray] = None       # (n,) task cycles l_i
-    cpu: Optional[np.ndarray] = None            # (m,) worker cycles/s C_j
-    transmit: Optional[np.ndarray] = None       # (n, m) seconds (lambda_i / R_ij)
-    kappa: Optional[np.ndarray] = None          # (n,) per-user deadline, seconds
+    capacity: tuple[float, ...]   # (m,) per-worker collaborator count
+    allowed: np.ndarray           # (n, m) bool, comm-range eligibility
+    distance: np.ndarray          # (n, m) meters, used by the go baseline
+    cpu: np.ndarray               # (m,) worker cycles/s C_j
+    transmit: np.ndarray          # (n, m) seconds (lambda / R_ij)
+    workload: float               # task cycles l
+    kappa: float                  # deadline, seconds
 
     def __post_init__(self):
         caps = tuple(float(c) for c in self.capacity)
+        if not caps:
+            raise ValueError("capacity must name at least one worker")
         if not all(0 <= c < math.inf for c in caps):
             raise ValueError(f"capacities must be finite and >= 0, got {caps}")
         object.__setattr__(self, "capacity", caps)
         n, m = self.n, self.m
-        for name, shape in (("allowed", (n, m)), ("distance", (n, m)),
-                            ("workload", (n,)), ("cpu", (m,)),
-                            ("transmit", (n, m)), ("kappa", (n,))):
-            arr = getattr(self, name)
-            if arr is not None:
-                arr = np.asarray(arr)
-                if arr.shape != shape:
-                    raise ValueError(f"{name} must have shape {shape}")
+        # positive: whether 0 is out of range (a worker without CPU never
+        # finishes); None for the eligibility mask, which has no range
+        for name, shape, positive in (("allowed", (n, m), None), ("distance", (n, m), False),
+                                      ("cpu", (m,), True), ("transmit", (n, m), False),
+                                      ("workload", (), False), ("kappa", (), False)):
+            arr = np.asarray(getattr(self, name), dtype=bool if positive is None else float)
+            if arr.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+            if positive is not None:
+                in_domain = arr > 0 if positive else arr >= 0
+                if not (np.isfinite(arr) & in_domain).all():
+                    raise DomainError(f"{name} must be finite and {'>' if positive else '>='} 0, "
+                                      f"got {arr.min()!r}")
+            if shape:
                 arr.setflags(write=False)
                 object.__setattr__(self, name, arr)
-        latency = [getattr(self, name) for name in _LATENCY_FIELDS]
-        if all(arr is None for arr in latency):
-            return
-        if any(arr is None for arr in latency):
-            raise ValueError(f"latency data needs all of {', '.join(_LATENCY_FIELDS)}")
-        for name, arr in zip(_LATENCY_FIELDS, latency):
-            positive = name == "cpu"  # a worker without CPU never finishes
-            in_domain = arr > 0 if positive else arr >= 0
-            if not (np.isfinite(arr) & in_domain).all():
-                raise DomainError(f"{name} must be finite and {'>' if positive else '>='} 0, "
-                                  f"got {arr.min()!r}")
+            else:
+                object.__setattr__(self, name, float(arr))
 
     @classmethod
     def from_task(cls, quality: QualityMatrix, cpu, rates, workload: float,
-                  frame_bits: float, deadline: float,
-                  allowed: Optional[np.ndarray] = None,
-                  distance: Optional[np.ndarray] = None) -> "QmkpInstance":
+                  frame_bits: float, deadline: float, allowed: np.ndarray,
+                  distance: np.ndarray) -> "QmkpInstance":
         """Instance of n users that all offload one task (l, lambda, kappa).
 
         ``cpu`` is C_j (cycles/s) per worker and ``rates`` R_ij (bits/s) per
@@ -81,12 +79,10 @@ class QmkpInstance:
         the deadline; user i's uplink time to worker j is lambda / R_ij.
         """
         cpu = np.asarray(cpu, dtype=float)
-        n = quality.n
         return cls(quality, capacity=np.floor(deadline * cpu / workload),
-                   allowed=allowed, distance=distance,
-                   workload=np.full(n, float(workload)), cpu=cpu,
+                   allowed=allowed, distance=distance, cpu=cpu,
                    transmit=frame_bits / np.asarray(rates, dtype=float),
-                   kappa=np.full(n, float(deadline)))
+                   workload=workload, kappa=deadline)
 
     @property
     def n(self) -> int:
@@ -96,23 +92,13 @@ class QmkpInstance:
     def m(self) -> int:
         return len(self.capacity)
 
-    @property
-    def has_latency(self) -> bool:
-        return self.workload is not None
-
-    def is_allowed(self, i: int, j: int) -> bool:
-        return True if self.allowed is None else bool(self.allowed[i, j])
-
     def latency_of(self, i: int, j: int, eta: int) -> float:
-        """Response latency l_i * eta / C_j + lambda_i / R_ij of user i on worker j.
+        """Response latency l * eta / C_j + lambda / R_ij of user i on worker j.
 
         The worker's CPU is shared equally by the eta users it serves; this
         is the latency the deadline repair checks and the metrics report.
         """
-        if not self.has_latency:
-            raise DomainError("instance carries no latency data")
-        return (float(self.workload[i]) * eta / float(self.cpu[j])
-                + float(self.transmit[i, j]))
+        return self.workload * eta / float(self.cpu[j]) + float(self.transmit[i, j])
 
 
 @dataclass(frozen=True)
@@ -145,7 +131,11 @@ def evaluate_objective(assignment: Assignment, quality) -> float:
 
 def check_feasible(assignment: Assignment, inst: QmkpInstance,
                    strict_deadline: bool = False) -> tuple[bool, list[str]]:
-    """Verify min-pair, capacity, eligibility and optionally deadlines."""
+    """Verify min-pair, capacity, eligibility and optionally deadlines.
+
+    An unknown user or worker is reported once, and its row is not checked
+    further.
+    """
     violations: list[str] = []
     eta = assignment.eta()
     for j, count in sorted(eta.items()):
@@ -157,17 +147,20 @@ def check_feasible(assignment: Assignment, inst: QmkpInstance,
         if count > inst.capacity[j]:
             violations.append(
                 f"worker {j} hosts {count} users, capacity {inst.capacity[j]:g}")
+    known: list[tuple[int, int]] = []
     for u, j in assignment.items():
         if u < 0 or u >= inst.n:
             violations.append(f"user {u} does not exist")
-        elif not inst.is_allowed(u, j):
-            violations.append(f"user {u} not eligible for worker {j}")
-    if strict_deadline and inst.has_latency:
-        for u, j in assignment.items():
+        elif 0 <= j < inst.m:
+            known.append((u, j))
+            if not inst.allowed[u, j]:
+                violations.append(f"user {u} not eligible for worker {j}")
+    if strict_deadline:
+        for u, j in known:
             t = inst.latency_of(u, j, eta[j])
-            if t > float(inst.kappa[u]) + 1e-12:
+            if t > inst.kappa + 1e-12:
                 violations.append(
-                    f"user {u} response time {t:.6f} s exceeds deadline {inst.kappa[u]:g} s")
+                    f"user {u} response time {t:.6f} s exceeds deadline {inst.kappa:g} s")
     return (not violations, violations)
 
 
@@ -188,15 +181,13 @@ def repair_deadline(assignment: Assignment, inst: QmkpInstance,
     minimum finish with a min-pair pass; baselines that ignore that
     constraint pass ``enforce_min_pair=False``.
     """
-    if not inst.has_latency:
-        return repair_min_pair(assignment) if enforce_min_pair else assignment
     q = inst.quality.q
+    limit = inst.kappa + 1e-12
     current = assignment
     while True:
         placed = current.items()
         eta = current.eta()
-        offenders = [u for u, j in placed
-                     if inst.latency_of(u, j, eta[j]) > float(inst.kappa[u]) + 1e-12]
+        offenders = [u for u, j in placed if inst.latency_of(u, j, eta[j]) > limit]
         if not offenders:
             break
 
@@ -210,30 +201,41 @@ def repair_deadline(assignment: Assignment, inst: QmkpInstance,
 
 
 def instance_to_json(inst: QmkpInstance) -> str:
-    """Serialize for test corpora: n, m, upper-triangle q, capacities."""
-    n = inst.n
-    iu, ik = np.triu_indices(n, 1)
+    """Serialize for test corpora: upper-triangle q, capacities and the task."""
+    iu, ik = np.triu_indices(inst.n, 1)
     doc = {
-        "n": n,
+        "n": inst.n,
         "m": inst.m,
         "q": [float(v) for v in inst.quality.q[iu, ik]],
         "capacities": list(inst.capacity),
+        "allowed": inst.allowed.astype(int).tolist(),
+        "distance": inst.distance.tolist(),
+        "cpu": inst.cpu.tolist(),
+        "transmit": inst.transmit.tolist(),
+        "workload": inst.workload,
+        "kappa": inst.kappa,
     }
-    if inst.allowed is not None:
-        doc["allowed"] = inst.allowed.astype(int).tolist()
     return json.dumps(doc, sort_keys=True)
 
 
 def random_instance(rng: np.random.Generator, max_n: int = 10,
                     max_m: int = 3) -> QmkpInstance:
-    """Random instance for oracle corpora."""
+    """Random instance for oracle corpora.
+
+    Only q and the capacities are random. The task is fixed so that every
+    response latency is exactly 1 s: every worker eligible at distance 0,
+    no compute time, and a 1 s uplink against a 1 s deadline. The density
+    order then divides by 1.0, which leaves each contribution bit for bit.
+    """
     n = int(rng.integers(2, max_n + 1))
     m = int(rng.integers(1, max_m + 1))
     upper = rng.uniform(0.0, 1.0, size=(n, n))
     q = np.triu(upper, 1)
     q = q + q.T
     caps = tuple(int(rng.integers(0, n + 1)) for _ in range(m))
-    return QmkpInstance(quality=QualityMatrix(q), capacity=caps)
+    return QmkpInstance(quality=QualityMatrix(q), capacity=caps,
+                        allowed=np.ones((n, m), dtype=bool), distance=np.zeros((n, m)),
+                        cpu=np.ones(m), transmit=np.ones((n, m)), workload=0.0, kappa=1.0)
 
 
 def enumerate_optimal(inst: QmkpInstance, chunk_size: int = 1 << 16) -> Solution:
@@ -250,8 +252,7 @@ def enumerate_optimal(inst: QmkpInstance, chunk_size: int = 1 << 16) -> Solution
     iu, ik = np.triu_indices(n, 1)
     pair_q = q[iu, ik]
     allowed_ext = np.ones((n, m + 1), dtype=bool)
-    if inst.allowed is not None:
-        allowed_ext[:, :m] = inst.allowed
+    allowed_ext[:, :m] = inst.allowed
     radix = (m + 1) ** np.arange(n)[::-1]
 
     # keep every row scoring within a tiny band of the running max, then pick

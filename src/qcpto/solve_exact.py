@@ -53,14 +53,14 @@ def solve_exact(inst: QmkpInstance, budget: int = 2_000_000) -> Solution:
     n, m = inst.n, inst.m
     q = inst.quality.q
     caps = [int(c) for c in inst.capacity]
+    allowed = inst.allowed
     order = sorted(range(n), key=lambda i: (-float(q[i].sum()), i))
     suffix = _suffix_bound(q, order, caps)
 
     # workers of one capacity and one eligibility column are interchangeable
     classes: dict[tuple, list[int]] = {}
     for j in range(m):
-        column = () if inst.allowed is None else tuple(inst.allowed[:, j].tolist())
-        classes.setdefault((caps[j], column), []).append(j)
+        classes.setdefault((caps[j], tuple(allowed[:, j].tolist())), []).append(j)
     class_of: list[list[int]] = [[] for _ in range(m)]
     # the next lower worker of j's class; the empty workers of a class stay a
     # suffix of its indices, so an empty j opens only while this twin is in use
@@ -127,7 +127,7 @@ def solve_exact(inst: QmkpInstance, budget: int = 2_000_000) -> Solution:
         for j in range(m):
             if counts[j] == 0 and twin[j] >= 0 and counts[twin[j]] == 0:
                 continue  # a lower empty twin stands for this worker
-            if counts[j] < caps[j] and inst.is_allowed(u, j):
+            if counts[j] < caps[j] and allowed[u, j]:
                 gain = sum(float(q[u, k]) for k in members[j])
                 options.append((gain, j))
         options.sort(key=lambda gj: (-gj[0], gj[1]))

@@ -1,13 +1,12 @@
 """Heuristic solver: greedy bin packing plus fix-and-complete reactive search.
 
-Construction sorts users by density (contribution over response time; plain
-contribution when the instance carries no latency data) and first-fits them
-onto workers ranked once by capacity, filling the largest worker before
-opening the next. The search loop then repeatedly drops a random fraction of
-the assigned users, repacks the freed ones, polishes each new configuration
-with a deterministic relocate/swap descent, keeps the best solution seen,
-and resets the incumbent to the best with probability one half. A
-fingerprint memory prevents re-visiting configurations: hits trigger
+Construction sorts users by density (contribution over response time) and
+first-fits them onto workers ranked once by capacity, filling the largest
+worker before opening the next. The search loop then repeatedly drops a
+random fraction of the assigned users, repacks the freed ones, polishes each
+new configuration with a deterministic relocate/swap descent, keeps the best
+solution seen, and resets the incumbent to the best with probability one
+half. A fingerprint memory prevents re-visiting configurations: hits trigger
 shuffled re-completions, and sustained stagnation widens the drop fraction.
 The search stops after ``patience`` iterations without improvement, or as
 soon as the best solution realizes every pair: no assignment can score more
@@ -42,8 +41,7 @@ def greedy_bin_packing(inst: QmkpInstance, x: Optional[Sequence[int]] = None,
     order, or in an order shuffled by ``rng``. A free user's density is its
     contribution (its quality toward the placed users in id order, or its
     full potential sum(q_ik) when nothing is placed) divided by its response
-    time on the top-ranked worker; plain contribution when the instance
-    carries no latency data.
+    time on the top-ranked worker.
     """
     n, m = inst.n, inst.m
     x = [-1] * n if x is None else list(x)
@@ -55,20 +53,18 @@ def greedy_bin_packing(inst: QmkpInstance, x: Optional[Sequence[int]] = None,
     else:
         q = inst.quality.q
         placed = [u for u in range(n) if x[u] >= 0]
-        timed = inst.has_latency and m > 0
-        top_eta = x.count(ranked[0]) if timed else 0
+        top_eta = x.count(ranked[0])
 
         def density(i: int) -> float:
             c = sum(float(q[i, k]) for k in placed) if placed else float(q[i].sum())
-            if not timed:
-                return c
             t = inst.latency_of(i, ranked[0], top_eta + 1)
             return c / t if t > 0 else 0.0
 
         free.sort(key=lambda i: (-density(i), i))
+    allowed = inst.allowed
     for i in free:
         for j in ranked:
-            if inst.is_allowed(i, j) and residual[j] >= 1.0:
+            if allowed[i, j] and residual[j] >= 1.0:
                 x[i] = j
                 residual[j] -= 1.0
                 break
@@ -102,6 +98,7 @@ def _descend(x: Sequence[int], inst: QmkpInstance) -> list[int]:
     q = inst.quality.q
     n, m = inst.n, inst.m
     caps = [int(c) for c in inst.capacity]
+    allowed = inst.allowed
     x = list(x)
     # x's users on each worker in id order: the index the gain sums take
     members = [[u for u in range(n) if x[u] == j] for j in range(m)]
@@ -115,7 +112,7 @@ def _descend(x: Sequence[int], inst: QmkpInstance) -> list[int]:
             cur = float(q[i, members[ji]].sum()) if ji >= 0 else 0.0
             # relocate i to any worker with room
             for j in range(m):
-                if j == ji or len(members[j]) >= caps[j] or not inst.is_allowed(i, j):
+                if j == ji or len(members[j]) >= caps[j] or not allowed[i, j]:
                     continue
                 if float(q[i, members[j]].sum()) > cur + 1e-12:
                     if ji >= 0:
@@ -132,7 +129,7 @@ def _descend(x: Sequence[int], inst: QmkpInstance) -> list[int]:
             if not rest:
                 continue
             for u in range(n):
-                if x[u] >= 0 or not inst.is_allowed(u, ji):
+                if x[u] >= 0 or not allowed[u, ji]:
                     continue
                 if float(q[u, rest].sum()) > cur + 1e-12:
                     x[i], x[u] = -1, ji

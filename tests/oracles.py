@@ -14,8 +14,9 @@ Three kinds of entry live here:
   row arithmetic and sharing, not those formulas; the closed-form checks
   pin the formulas.
 - Convenience wrappers over library code (``shared_interest``,
-  ``save_trace``, ``instance_from_json``, ``first_route``), used to build
-  inputs or to call one piece of the pipeline on its own.
+  ``save_trace``, ``instance_from_json``, ``bare_instance``,
+  ``first_route``), used to build inputs or to call one piece of the
+  pipeline on its own.
 """
 from __future__ import annotations
 
@@ -183,11 +184,29 @@ def instance_from_json(text: str) -> QmkpInstance:
     vals = np.asarray(doc["q"], dtype=float)
     q[iu, ik] = vals
     q[ik, iu] = vals
-    allowed = None
-    if "allowed" in doc:
-        allowed = np.asarray(doc["allowed"], dtype=bool)
     return QmkpInstance(
         quality=QualityMatrix(q),
         capacity=tuple(doc["capacities"]),
-        allowed=allowed,
+        allowed=np.asarray(doc["allowed"], dtype=bool),
+        distance=np.asarray(doc["distance"], dtype=float),
+        cpu=np.asarray(doc["cpu"], dtype=float),
+        transmit=np.asarray(doc["transmit"], dtype=float),
+        workload=doc["workload"],
+        kappa=doc["kappa"],
     )
+
+
+def bare_instance(quality: QualityMatrix, capacity, allowed=None, **task) -> QmkpInstance:
+    """An instance of q and capacities on the oracle corpora's fixed task.
+
+    As in ``qcpto.qmkp.random_instance``: every worker eligible (unless
+    ``allowed`` says otherwise) at distance 0, unit CPU, no workload, a 1 s
+    uplink and a 1 s deadline, so every response latency is exactly 1 s.
+    Keywords in ``task`` replace single fields of that task.
+    """
+    n, m = quality.n, len(capacity)
+    fields = {"allowed": np.ones((n, m), dtype=bool) if allowed is None else allowed,
+              "distance": np.zeros((n, m)), "cpu": np.ones(m),
+              "transmit": np.ones((n, m)), "workload": 0.0, "kappa": 1.0}
+    fields.update(task)
+    return QmkpInstance(quality, capacity, **fields)

@@ -109,7 +109,7 @@ def test_criterion_5_latency_arithmetic():
     # one user, one 2 GHz worker at 15 Mbit/s; task of 2e8 cycles, 2e5 bits, 0.4 s
     inst = QmkpInstance.from_task(QualityMatrix(np.zeros((1, 1))), cpu=[2e9],
                                   rates=[[1.5e7]], workload=2e8, frame_bits=2e5,
-                                  deadline=0.4)
+                                  deadline=0.4, allowed=[[True]], distance=[[0.0]])
     transmit = float(inst.transmit[0, 0])
     assert inst.latency_of(0, 0, 4) - transmit == pytest.approx(0.4, abs=1e-12)
     assert transmit == pytest.approx(0.013333333333, abs=1e-9)
@@ -239,7 +239,9 @@ def test_criterion_9_monotonicity(heuristic_runs):
         inst = QmkpInstance.from_task(build_quality_matrix(bank),
                                       cpu=[workers[0].cpu_capacity],
                                       rates=np.full((4, 1), 1.5e7), workload=2e8,
-                                      frame_bits=2e5, deadline=0.4)
+                                      frame_bits=2e5, deadline=0.4,
+                                      allowed=np.ones((4, 1), dtype=bool),
+                                      distance=np.zeros((4, 1)))
         ratios = [epoch_metrics(0, bank, inst, a, [Turn.LEFT] * 4, len(workers),
                                 phi=phi).satisfaction_ratio
                   for phi in (0.0, 0.25, 0.5, 0.75, 1.0)]

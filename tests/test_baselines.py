@@ -2,15 +2,15 @@ import numpy as np
 
 from qcpto.baselines import solve_cpto, solve_go
 from qcpto.geometry import QualityMatrix
-from qcpto.qmkp import (QmkpInstance, evaluate_objective, random_instance,
-                        repair_min_pair)
+from qcpto.qmkp import evaluate_objective, random_instance, repair_min_pair
 from qcpto.solve_exact import solve_exact
 
+from oracles import bare_instance
 
-def count_instance(n, caps, distance=None, allowed=None):
+
+def count_instance(n, caps, **task):
     q = np.zeros((n, n))
-    return QmkpInstance(QualityMatrix(q), capacity=tuple(float(c) for c in caps),
-                        distance=distance, allowed=allowed)
+    return bare_instance(QualityMatrix(q), capacity=tuple(float(c) for c in caps), **task)
 
 
 def test_go_assigns_all_when_capacity_suffices():

@@ -22,11 +22,12 @@ from qcpto.errors import ConfigError
 from qcpto.geometry import QualityMatrix
 from qcpto.model import Assignment
 from qcpto.predict import FilterBank
-from qcpto.qmkp import (QmkpInstance, check_feasible, enumerate_optimal, evaluate_objective,
-                        repair_deadline)
+from qcpto.qmkp import check_feasible, enumerate_optimal, evaluate_objective, repair_deadline
 from qcpto.solve_exact import BOUND_SLACK, _suffix_bound, solve_exact
 from qcpto.solve_heur import solve_heuristic
 from qcpto.trace import check_routes
+
+from oracles import bare_instance
 
 # hypothesis caches the constants it reads from the code under test in its
 # home directory, ./.hypothesis by default, even without an example database;
@@ -127,16 +128,15 @@ def instances(draw, max_n=8, max_m=3, latency=True):
     if draw(st.booleans()):
         allowed = np.array(draw(st.lists(st.booleans(), min_size=n * m, max_size=n * m)),
                            dtype=bool).reshape(n, m)
-    extra = {}
+    task = {}
     if latency and draw(st.booleans()):
         def matrix(lo, hi, shape):
             size = int(np.prod(shape))
             return np.array(draw(st.lists(st.floats(lo, hi), min_size=size,
                                           max_size=size))).reshape(shape)
-        extra = {"workload": matrix(1e7, 4e8, (n,)), "cpu": matrix(1e9, 4e9, (m,)),
-                 "transmit": matrix(0.001, 0.05, (n, m)),
-                 "kappa": matrix(0.05, 0.5, (n,))}
-    return QmkpInstance(quality=QualityMatrix(q), capacity=caps, allowed=allowed, **extra)
+        task = {"workload": draw(st.floats(1e7, 4e8)), "cpu": matrix(1e9, 4e9, (m,)),
+                "transmit": matrix(0.001, 0.05, (n, m)), "kappa": draw(st.floats(0.05, 0.5))}
+    return bare_instance(QualityMatrix(q), caps, allowed=allowed, **task)
 
 
 solver_sections = st.builds(SolverSection, alpha=st.floats(0.05, 0.95),
@@ -150,10 +150,9 @@ def test_heuristic_result_is_feasible(inst, solver, seed):
     assert sol.objective == evaluate_objective(sol.assignment, inst.quality)
     ok, violations = check_feasible(sol.assignment, inst)
     assert ok, violations
-    # with deadlines, the repair the simulator applies keeps the result feasible
-    strict = inst.kappa is not None
+    # the repair the simulator applies keeps the result feasible under deadlines
     final = repair_deadline(sol.assignment, inst, enforce_min_pair=True)
-    ok, violations = check_feasible(final, inst, strict_deadline=strict)
+    ok, violations = check_feasible(final, inst, strict_deadline=True)
     assert ok, violations
 
 
@@ -175,7 +174,7 @@ def symmetric_instances(draw, max_n=6, max_m=3):
     q[iu, ik] = upper
     q[ik, iu] = upper
     caps = tuple(draw(st.lists(st.sampled_from([2, 3]), min_size=m, max_size=m)))
-    return QmkpInstance(quality=QualityMatrix(q), capacity=caps)
+    return bare_instance(quality=QualityMatrix(q), capacity=caps)
 
 
 def all_rows_bound(q, order, caps):

@@ -58,10 +58,11 @@ def random_queue(rng):
 
 
 def queue_instance(bank, ids):
+    shape = (len(ids), len(WORKERS))
     return QmkpInstance.from_task(
         build_quality_matrix(bank), cpu=[w.cpu_capacity for w in WORKERS],
-        rates=np.full((len(ids), len(WORKERS)), 1.5e7), workload=2e8,
-        frame_bits=2e5, deadline=0.4)
+        rates=np.full(shape, 1.5e7), workload=2e8, frame_bits=2e5, deadline=0.4,
+        allowed=np.ones(shape, dtype=bool), distance=np.zeros(shape))
 
 
 def test_random_queues_match_oracles(monkeypatch):

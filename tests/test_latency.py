@@ -1,6 +1,7 @@
 """The latency model l * eta / C + lambda / R and the capacity floor(kappa * C / l),
 both derived in one place: ``QmkpInstance.from_task``."""
 import dataclasses
+import math
 import random
 
 import numpy as np
@@ -15,9 +16,12 @@ from qcpto.qmkp import QmkpInstance
 
 def one_user(workload=2e8, cpu=(2e9,), rate=1.5e7, frame_bits=2e5, deadline=0.4):
     """A one-user instance of the default task on the given workers."""
+    m = len(cpu)
     return QmkpInstance.from_task(QualityMatrix(np.zeros((1, 1))), cpu=cpu,
-                                  rates=[[rate] * len(cpu)], workload=workload,
-                                  frame_bits=frame_bits, deadline=deadline)
+                                  rates=[[rate] * m], workload=workload,
+                                  frame_bits=frame_bits, deadline=deadline,
+                                  allowed=np.ones((1, m), dtype=bool),
+                                  distance=np.zeros((1, m)))
 
 
 def test_compute_time_reference_values():
@@ -52,15 +56,47 @@ def test_delay_scaling_properties():
         assert one_user(rate=r, frame_bits=lam).transmit[0, 0] == lam / r
 
 
-def test_instance_rejects_partial_latency_data():
-    full = {"workload": np.full(2, 2e8), "cpu": np.full(1, 2e9),
-            "transmit": np.full((2, 1), 0.01), "kappa": np.full(2, 0.4)}
-    q = QualityMatrix(np.zeros((2, 2)))
-    assert QmkpInstance(q, capacity=(2,), **full).has_latency
-    for name in full:
-        partial = {k: v for k, v in full.items() if k != name}
-        with pytest.raises(ValueError, match="latency data needs all of"):
-            QmkpInstance(q, capacity=(2,), **partial)
+TWO_BY_ONE = {"capacity": (2,), "allowed": np.ones((2, 1), dtype=bool),
+              "distance": np.zeros((2, 1)), "cpu": np.full(1, 2e9),
+              "transmit": np.full((2, 1), 0.01), "workload": 2e8, "kappa": 0.4}
+
+
+def two_users(**fields):
+    """A two-user, one-worker instance with ``fields`` replaced."""
+    return QmkpInstance(QualityMatrix(np.zeros((2, 2))), **{**TWO_BY_ONE, **fields})
+
+
+def test_instance_holds_the_task_as_given():
+    inst = two_users()
+    assert (inst.workload, inst.kappa) == (2e8, 0.4)
+    assert inst.allowed.shape == inst.distance.shape == inst.transmit.shape == (2, 1)
+    assert inst.latency_of(1, 0, 2) == 2e8 * 2 / 2e9 + 0.01
+
+
+@pytest.mark.parametrize("name", ["workload", "kappa"])
+@pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+def test_instance_rejects_a_bad_task_scalar(name, value):
+    with pytest.raises(DomainError, match=name):
+        two_users(**{name: value})
+
+
+@pytest.mark.parametrize("name, shape", [("allowed", (1, 2)), ("distance", (2,)),
+                                         ("transmit", (2, 2)), ("cpu", (2,)),
+                                         ("workload", (2,)), ("kappa", (2,))])
+def test_instance_rejects_a_misshaped_field(name, shape):
+    with pytest.raises(ValueError, match=f"{name} must have shape"):
+        two_users(**{name: np.ones(shape)})
+
+
+def test_instance_rejects_a_bad_distance():
+    with pytest.raises(DomainError, match="distance"):
+        two_users(distance=np.array([[1.0], [np.nan]]))
+
+
+def test_instance_needs_a_worker():
+    with pytest.raises(ValueError, match="capacity"):
+        two_users(capacity=(), allowed=np.ones((2, 0), dtype=bool), distance=np.zeros((2, 0)),
+                  cpu=np.zeros(0), transmit=np.zeros((2, 0)))
 
 
 def test_instance_rejects_zero_cpu():
@@ -71,7 +107,8 @@ def test_instance_rejects_zero_cpu():
 def test_instance_rejects_negative_or_infinite_transmit():
     with pytest.raises(DomainError, match="transmit"):
         QmkpInstance(QualityMatrix(np.zeros((1, 1))), capacity=(1,),
-                     workload=[2e8], cpu=[2e9], transmit=[[-0.01]], kappa=[0.4])
+                     allowed=[[True]], distance=[[0.0]], cpu=[2e9], transmit=[[-0.01]],
+                     workload=2e8, kappa=0.4)
     with pytest.raises(DomainError, match="transmit"):
         one_user(frame_bits=-2e5)
     with pytest.raises(DomainError, match="transmit"), np.errstate(divide="ignore"):
@@ -131,7 +168,7 @@ def test_reported_latency_is_the_checked_latency(monkeypatch, n_vehicles, scheme
                     continue
                 t = ctx.instance.latency_of(row, rec.worker_id, eta[rec.worker_id])
                 assert rec.latency_s == t
-                assert t <= ctx.instance.kappa[row] + 1e-12
+                assert t <= ctx.instance.kappa + 1e-12
                 served += 1
         assert len(built) == sum(ctx.instance is not None for ctx, _ in contexts)
     assert served > 100

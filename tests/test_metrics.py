@@ -23,10 +23,11 @@ def roi(tri):
 def score(assignment, rois, fovs, ids, **kwargs):
     """Metrics on the bank and instance of a queue whose ids are its rows."""
     bank = EpochRasters(ids, rois, fovs, GRID)
+    shape = (len(ids), len(WORKERS))
     inst = QmkpInstance.from_task(
         build_quality_matrix(bank), cpu=[w.cpu_capacity for w in WORKERS],
-        rates=np.full((len(ids), len(WORKERS)), 1.5e7), workload=2e8,
-        frame_bits=2e5, deadline=0.4)
+        rates=np.full(shape, 1.5e7), workload=2e8, frame_bits=2e5, deadline=0.4,
+        allowed=np.ones(shape, dtype=bool), distance=np.zeros(shape))
     return epoch_metrics(0, bank, inst, assignment, [rois[u].turn for u in ids],
                          len(WORKERS), **kwargs)
 

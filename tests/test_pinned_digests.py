@@ -3,17 +3,20 @@
 Each digest is the sha256 of one row per solve: the assignment vector, the
 objective's repr and the search counters. Any change to a solver's search
 order, to the order of a float sum or to the work a search does changes the
-digest. The synthetic queues carry latency data, so they pin the density
-order that divides contribution by response time; the random corpora carry
-none and pin the plain-contribution order. The digests were recorded before
-the solvers moved to one worker-vector state, whose sums keep every term and
-its order. The heuristic digest was re-recorded when the synthetic queues'
-capacities became floor(kappa * C / l) from the one task: before, the float
-mean of n equal deadlines read 0.39999999999999997 for n = 6 and 10, which
-gave the 4 and 5 GHz workers 7 and 9 slots instead of 8 and 10. The other
-three digests did not move. The exact digest was re-recorded when the
-search gained its predecessor-only bound and opened one empty worker per
-class of interchangeable workers: the node counts fell from 54,051 to
+digest. The synthetic queues carry the pipeline's task, so they pin the
+density order that divides contribution by response time; the random
+corpora carry a fixed task whose every response time is exactly 1 s, so
+their density is the contribution bit for bit. The gap table of
+``qcpto oracle --n 8 --m 3 --count 60 --seed 0`` is pinned whole; it was
+recorded before the oracle instances carried a task. The digests were recorded
+before the solvers moved to one worker-vector state, whose sums keep every
+term and its order. The heuristic digest was re-recorded when the synthetic
+queues' capacities became floor(kappa * C / l) from the one task: before,
+the float mean of n equal deadlines read 0.39999999999999997 for n = 6 and
+10, which gave the 4 and 5 GHz workers 7 and 9 slots instead of 8 and 10.
+The other three digests did not move. The exact digest was re-recorded when
+the search gained its predecessor-only bound and opened one empty worker
+per class of interchangeable workers: the node counts fell from 54,051 to
 44,893 and the budget hits from 12 to 7. Of the 70 rows, 66 kept their
 assignment and objective; one budget-bound row scored higher and three kept
 their objective under another assignment, and none scored lower.
@@ -24,6 +27,7 @@ import numpy as np
 import pytest
 
 from qcpto.baselines import solve_cpto, solve_go
+from qcpto.cli import main
 from qcpto.config import SolverSection
 from qcpto.qmkp import evaluate_objective, random_instance
 from qcpto.sim import make_synthetic_instance
@@ -38,6 +42,7 @@ DIGESTS = {
     "go": "010aae0b4c66cfbb78168af3fc7f953e15e5ace7589e8235b594594116b18834",
     "cpto": "f8c4f4b26fa405b8072c4f66d60071615b48237e8aeca88d3bef346d8be23822",
 }
+GAP_TABLE = "b4d40ca515b6b45d8c27b3e688df7da731d761e756d2ae8fc344f20d2f14691a"
 
 
 @pytest.fixture(scope="module")
@@ -87,3 +92,10 @@ def test_baseline_outputs_match_the_pinned_digest(synthetic, name, scheme):
         a = scheme(inst)
         rows.append(repr((a.key(inst.n), repr(evaluate_objective(a, inst.quality)))))
     assert digest(rows) == DIGESTS[name]
+
+
+def test_oracle_gap_table_matches_the_pinned_digest(tmp_path):
+    assert main(["oracle", "--n", "8", "--m", "3", "--count", "60", "--seed", "0",
+                 "--out", str(tmp_path)]) == 0
+    table = (tmp_path / "gap_table.csv").read_bytes()
+    assert hashlib.sha256(table).hexdigest() == GAP_TABLE

@@ -121,8 +121,9 @@ def test_draw_rates_within_range():
 def test_make_synthetic_instance_shape():
     inst = make_synthetic_instance(15, seed=3)
     assert inst.n == 15 and inst.m == 8
-    assert inst.has_latency
-    assert inst.allowed is not None
+    assert inst.allowed.shape == inst.distance.shape == inst.transmit.shape == (15, 8)
+    assert inst.cpu.shape == (8,)
+    assert (inst.workload, inst.kappa) == (2e8, 0.4)
 
 
 def test_sweep_shape_and_determinism():

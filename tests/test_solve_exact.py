@@ -3,11 +3,12 @@ import pytest
 
 from qcpto.config import SolverSection
 from qcpto.geometry import QualityMatrix
-from qcpto.qmkp import (QmkpInstance, check_feasible, enumerate_optimal,
-                        evaluate_objective, random_instance)
+from qcpto.qmkp import check_feasible, enumerate_optimal, evaluate_objective, random_instance
 from qcpto.sim import make_synthetic_instance
 from qcpto.solve_exact import solve_exact
 from qcpto.solve_heur import solve_heuristic
+
+from oracles import bare_instance
 
 
 def quality(entries, n):
@@ -18,7 +19,7 @@ def quality(entries, n):
 
 
 def test_two_users_one_worker():
-    inst = QmkpInstance(quality({(0, 1): 0.5}, 2), capacity=(2.0,))
+    inst = bare_instance(quality({(0, 1): 0.5}, 2), capacity=(2.0,))
     sol = solve_exact(inst)
     assert sol.objective == pytest.approx(0.5)
     assert sol.assignment.users_of(0) == (0, 1)
@@ -26,7 +27,7 @@ def test_two_users_one_worker():
 
 
 def test_three_users_capacity_two_picks_best_pair():
-    inst = QmkpInstance(
+    inst = bare_instance(
         quality({(0, 1): 0.9, (0, 2): 0.2, (1, 2): 0.1}, 3), capacity=(2.0,))
     sol = solve_exact(inst)
     assert sol.objective == pytest.approx(0.9)
@@ -56,7 +57,7 @@ def test_scaling_invariance():
     for _ in range(20):
         inst = random_instance(rng)
         sol = solve_exact(inst)
-        scaled = QmkpInstance(QualityMatrix(inst.quality.q * 0.5), inst.capacity)
+        scaled = bare_instance(QualityMatrix(inst.quality.q * 0.5), inst.capacity)
         half = solve_exact(scaled)
         assert half.objective == pytest.approx(0.5 * sol.objective, abs=1e-9)
         assert half.assignment == sol.assignment
@@ -70,13 +71,13 @@ def test_isolated_user_does_not_change_objective():
         n = inst.n
         q = np.zeros((n + 1, n + 1))
         q[:n, :n] = inst.quality.q
-        grown = QmkpInstance(QualityMatrix(q), inst.capacity)
+        grown = bare_instance(QualityMatrix(q), inst.capacity)
         assert solve_exact(grown).objective == pytest.approx(base, abs=1e-12)
 
 
 def test_unassigned_preferred_for_zero_gain_users():
     # second worker would host the pairless user alone; it must stay out
-    inst = QmkpInstance(quality({(0, 1): 0.5}, 3), capacity=(2.0, 2.0))
+    inst = bare_instance(quality({(0, 1): 0.5}, 3), capacity=(2.0, 2.0))
     sol = solve_exact(inst)
     assert sol.assignment.worker_of(2) is None
 
@@ -91,7 +92,7 @@ def test_budget_flag_and_best_so_far():
 
 
 def test_budget_must_be_positive():
-    inst = QmkpInstance(quality({}, 2), capacity=(2.0,))
+    inst = bare_instance(quality({}, 2), capacity=(2.0,))
     with pytest.raises(ValueError):
         solve_exact(inst, budget=0)
 
@@ -99,7 +100,7 @@ def test_budget_must_be_positive():
 def test_allowed_mask_respected():
     q = quality({(0, 1): 0.9, (0, 2): 0.5, (1, 2): 0.4}, 3)
     allowed = np.array([[True], [False], [True]])
-    inst = QmkpInstance(q, capacity=(3.0,), allowed=allowed)
+    inst = bare_instance(q, capacity=(3.0,), allowed=allowed)
     sol = solve_exact(inst)
     assert sol.objective == pytest.approx(0.5)
     assert sol.assignment.worker_of(1) is None
@@ -107,7 +108,7 @@ def test_allowed_mask_respected():
 
 def test_deterministic_tie_break_is_lexicographic():
     # two identical workers: the pair must land on worker 0
-    inst = QmkpInstance(quality({(0, 1): 0.5}, 2), capacity=(2.0, 2.0))
+    inst = bare_instance(quality({(0, 1): 0.5}, 2), capacity=(2.0, 2.0))
     sol = solve_exact(inst)
     assert sol.assignment.key(2) == (0, 0)
 
@@ -127,7 +128,7 @@ def symmetric_instance(rng, split):
     if split:
         allowed = np.ones((n, m), dtype=bool)
         allowed[rng.integers(n), rng.integers(m)] = False
-    return QmkpInstance(QualityMatrix(q + q.T), caps, allowed=allowed)
+    return bare_instance(QualityMatrix(q + q.T), caps, allowed=allowed)
 
 
 def test_interchangeable_workers_resolve_to_the_enumerated_assignment():
@@ -144,7 +145,7 @@ def test_interchangeable_workers_resolve_to_the_enumerated_assignment():
 def test_twin_workers_split_by_eligibility_are_both_searched():
     # worker 1 has worker 0's capacity, but only worker 1 may host user 2;
     # the greedy start reaches only 0.1
-    inst = QmkpInstance(
+    inst = bare_instance(
         quality({(0, 1): 0.3, (0, 2): 0.3, (0, 3): 0.1, (2, 3): 0.5}, 4),
         capacity=(2.0, 2.0),
         allowed=np.array([[True, True], [True, True], [False, True], [True, True]]))

@@ -8,10 +8,12 @@ import pytest
 from qcpto.config import SolverSection
 from qcpto.geometry import QualityMatrix
 from qcpto.model import Assignment
-from qcpto.qmkp import (QmkpInstance, check_feasible, enumerate_optimal,
-                        evaluate_objective, random_instance, repair_min_pair)
+from qcpto.qmkp import (check_feasible, enumerate_optimal, evaluate_objective,
+                        random_instance, repair_min_pair)
 from qcpto.solve_exact import solve_exact
 from qcpto.solve_heur import fix_and_complete, greedy_bin_packing, solve_heuristic
+
+from oracles import bare_instance
 
 
 def quality(entries, n):
@@ -24,13 +26,13 @@ def quality(entries, n):
 def test_contribution_cases():
     # from scratch, free users go by full potential sum(q_ik), ties to the
     # lowest id: 0 (1.1) and 1 (0.9) before 2 (0.4)
-    inst = QmkpInstance(
+    inst = bare_instance(
         quality({(0, 1): 0.8, (0, 2): 0.3, (1, 2): 0.1}, 3), capacity=(2.0,))
     assert greedy_bin_packing(inst) == [0, 0, -1]
     # completing a vector, they go by affinity toward the placed users: 3
     # (0.3) takes the last seat before 2 (0.1, full potential 1.0) and 4 (0.0)
-    inst = QmkpInstance(quality({(0, 3): 0.3, (0, 2): 0.1, (2, 4): 0.9}, 5),
-                        capacity=(3.0,))
+    inst = bare_instance(quality({(0, 3): 0.3, (0, 2): 0.1, (2, 4): 0.9}, 5),
+                         capacity=(3.0,))
     x = [0, 0, -1, -1, -1]
     assert greedy_bin_packing(inst, x) == [0, 0, -1, 0, -1]
     assert x == [0, 0, -1, -1, -1]  # the input vector is left as it was
@@ -40,11 +42,10 @@ def test_density_cases():
     # equal contributions (0.5) are ranked by response time on the top worker
     q = quality({(0, 1): 0.5, (0, 2): 0.5}, 3)
 
-    def inst(workload):
-        return QmkpInstance(q, capacity=(2.0,), workload=np.array(workload),
-                            cpu=np.ones(1), transmit=np.zeros((3, 1)), kappa=np.ones(3))
+    def inst(transmit):
+        return bare_instance(q, capacity=(2.0,), transmit=np.array(transmit)[:, None])
 
-    assert greedy_bin_packing(QmkpInstance(q, capacity=(2.0,))) == [0, 0, -1]
+    assert greedy_bin_packing(bare_instance(q, capacity=(2.0,))) == [0, 0, -1]
     # densities 1.0/0.1, 0.5/0.2 and 0.5/0.1: user 2 is faster than user 1
     assert greedy_bin_packing(inst([0.1, 0.2, 0.1])) == [0, -1, 0]
     # a zero response time counts as zero density, not as a division
@@ -55,29 +56,29 @@ def test_density_ordering_invariant_under_scaling():
     rng = np.random.default_rng(3)
     for _ in range(20):
         inst = random_instance(rng, max_n=8)
-        scaled = QmkpInstance(QualityMatrix(inst.quality.q * 0.25), inst.capacity)
+        scaled = bare_instance(QualityMatrix(inst.quality.q * 0.25), inst.capacity)
         assert greedy_bin_packing(scaled) == greedy_bin_packing(inst)
 
 
 def test_greedy_packs_pair_on_single_worker():
-    inst = QmkpInstance(quality({(0, 1): 0.8}, 2), capacity=(2.0,))
+    inst = bare_instance(quality({(0, 1): 0.8}, 2), capacity=(2.0,))
     assert greedy_bin_packing(inst) == [0, 0]
 
 
 def test_greedy_three_users_capacity_two():
     # densities (full potential): u0=1.1, u1=0.9, u2=0.4 -> u0, u1 packed
-    inst = QmkpInstance(
+    inst = bare_instance(
         quality({(0, 1): 0.8, (0, 2): 0.3, (1, 2): 0.1}, 3), capacity=(2.0,))
     assert greedy_bin_packing(inst) == [0, 0, -1]
 
 
 def test_greedy_zero_capacity():
-    inst = QmkpInstance(quality({(0, 1): 0.8}, 2), capacity=(0.0, 0.0))
+    inst = bare_instance(quality({(0, 1): 0.8}, 2), capacity=(0.0, 0.0))
     assert greedy_bin_packing(inst) == [-1, -1]
 
 
 def test_greedy_fills_largest_worker_first():
-    inst = QmkpInstance(
+    inst = bare_instance(
         quality({(0, 1): 0.5, (0, 2): 0.5, (1, 2): 0.5}, 3),
         capacity=(1.0, 3.0))
     assert greedy_bin_packing(inst) == [1, 1, 1]
@@ -86,7 +87,7 @@ def test_greedy_fills_largest_worker_first():
 def test_fix_and_complete_always_drops_at_least_one():
     # with alpha near zero one user is still freed; the repack puts it on the
     # worker with the most room left, so it never lands back where it was
-    inst = QmkpInstance(quality({(0, 1): 0.8}, 2), capacity=(2.0, 2.0))
+    inst = bare_instance(quality({(0, 1): 0.8}, 2), capacity=(2.0, 2.0))
     rng = random.Random(0)
     for shuffle in (False, True):
         moved = {tuple(fix_and_complete([1, 1], 0.01, rng, inst, shuffle))
@@ -95,7 +96,7 @@ def test_fix_and_complete_always_drops_at_least_one():
 
 
 def test_fix_and_complete_empty_solution_builds_greedy():
-    inst = QmkpInstance(quality({(0, 1): 0.8}, 2), capacity=(2.0,))
+    inst = bare_instance(quality({(0, 1): 0.8}, 2), capacity=(2.0,))
     rng = random.Random(1)
     cand = fix_and_complete([-1, -1], 0.3, rng, inst)
     assert cand == greedy_bin_packing(inst)
@@ -111,7 +112,7 @@ def test_fix_and_complete_is_seed_reproducible():
 
 
 def test_heuristic_solves_trivial_instance_exactly():
-    inst = QmkpInstance(quality({(0, 1): 0.5}, 2), capacity=(2.0,))
+    inst = bare_instance(quality({(0, 1): 0.5}, 2), capacity=(2.0,))
     sol = solve_heuristic(inst, SolverSection(), 0)
     assert sol.objective == pytest.approx(0.5)
 
@@ -178,7 +179,7 @@ def all_on_one(inst):
 
 
 def test_heuristic_stops_at_once_for_a_single_user():
-    inst = QmkpInstance(quality({}, 1), capacity=(2.0,))
+    inst = bare_instance(quality({}, 1), capacity=(2.0,))
     sol = solve_heuristic(inst, SolverSection(), 0)
     assert sol.iterations == 0
     assert sol.objective == all_on_one(inst) == 0.0
@@ -190,8 +191,8 @@ def test_heuristic_stops_at_once_when_one_worker_holds_the_queue():
         n = int(rng.integers(2, 9))
         upper = np.triu(rng.uniform(0.0, 1.0, size=(n, n)), 1)
         caps = (float(rng.integers(0, n + 1)), float(n), float(rng.integers(0, n + 1)))
-        inst = QmkpInstance(QualityMatrix(upper + upper.T), capacity=caps,
-                            allowed=np.ones((n, 3), dtype=bool))
+        inst = bare_instance(QualityMatrix(upper + upper.T), capacity=caps,
+                             allowed=np.ones((n, 3), dtype=bool))
         sol = solve_heuristic(inst, SolverSection(), s)
         assert sol.iterations == 0
         assert sol.trajectory == (sol.objective,)
@@ -199,7 +200,7 @@ def test_heuristic_stops_at_once_when_one_worker_holds_the_queue():
 
 
 def test_heuristic_searches_on_when_the_ceiling_is_out_of_reach():
-    inst = QmkpInstance(
+    inst = bare_instance(
         quality({(0, 1): 0.8, (0, 2): 0.3, (1, 2): 0.1}, 3), capacity=(2.0,))
     cfg = SolverSection()
     sol = solve_heuristic(inst, cfg, 0)
@@ -212,7 +213,7 @@ def test_heuristic_stops_only_at_the_exact_all_pairs_sum():
     # total from 2.0 to the next float; a ceiling one ulp low would accept
     # the non-maximal 2.0 that the search passes through on some seeds
     t = 1.2e-16
-    inst = QmkpInstance(
+    inst = bare_instance(
         quality({(0, 1): 1.0, (0, 2): t, (1, 2): t, (3, 4): 1.0}, 5),
         capacity=(3.0, 2.0))
     ceiling = all_on_one(inst)
