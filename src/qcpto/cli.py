@@ -21,7 +21,7 @@ from . import sim
 from .config import (RunConfig, SCHEMES, SolverSection, config_to_dict,
                      load_config, sweep_threads, validate_config)
 from .errors import ConfigError, MissingResults
-from .qmkp import enumerate_optimal, instance_to_json, random_instance
+from .qmkp import check_feasible, enumerate_optimal, instance_to_json, random_instance
 from .solve_exact import solve_exact
 from .solve_heur import solve_heuristic
 
@@ -86,8 +86,8 @@ def cmd_oracle(n: int, m: int, count: int, seed: int, out_dir: str) -> int:
     """Cross-check exact search against brute-force enumeration.
 
     Generates ``count`` random instances with sizes drawn up to the given
-    bounds; any exact-vs-enumeration objective mismatch is reported with the
-    instance JSON and a nonzero exit.
+    bounds; any exact-vs-enumeration objective mismatch, or an infeasible
+    exact or heuristic answer, is reported with a nonzero exit.
     """
     if not (2 <= n <= 12 and 1 <= m <= 3 and count >= 0):
         print("oracle bounds: 2 <= n <= 12, 1 <= m <= 3 and count >= 0 "
@@ -110,6 +110,12 @@ def cmd_oracle(n: int, m: int, count: int, seed: int, out_dir: str) -> int:
             print(f"MISMATCH on instance {idx}: enum {enum_sol.objective!r} "
                   f"vs exact {exact_sol.objective!r}", file=sys.stderr)
             print(instance_to_json(inst), file=sys.stderr)
+        for name, sol in (("exact", exact_sol), ("heuristic", heur_sol)):
+            ok, violations = check_feasible(sol.assignment, inst)
+            if not ok:
+                mismatches += 1
+                print(f"INFEASIBLE {name} answer on instance {idx}: "
+                      f"{'; '.join(violations)}", file=sys.stderr)
         gap = 0.0
         if enum_sol.objective > 0:
             gap = (enum_sol.objective - heur_sol.objective) / enum_sol.objective

@@ -15,6 +15,7 @@ from typing import Optional
 
 from .errors import ConfigError
 from .geometry import GridSpec
+from .predict import SINGULAR_DET
 from .trace import check_routes
 
 SCHEMES = ("exact", "heuristic", "go", "cpto")
@@ -203,6 +204,18 @@ def _check_scenario(s: ScenarioSection) -> None:
         _require(isinstance(pair, tuple) and len(pair) == 2
                  and all(_is_number(v) for v in pair) and 0 < pair[0] <= pair[1],
                  f"scenario.{key}", "two finite numbers lo, hi with 0 < lo <= hi", pair)
+    # the largest capacity floor(kappa * C / l) and uplink time lambda / R that
+    # QmkpInstance.from_task derives, in its order of operations
+    cpu_max = s.worker_base_cpu_ghz * 1e9 + s.worker_cpu_step_ghz * 1e9 * 3
+    if not math.isfinite(s.deadline_s * cpu_max / s.workload_cycles):
+        raise ConfigError(
+            f"scenario.deadline_s {s.deadline_s!r} x the largest worker CPU {cpu_max!r} "
+            "cycles/s (scenario.worker_base_cpu_ghz + 3 x scenario.worker_cpu_step_ghz) / "
+            f"scenario.workload_cycles {s.workload_cycles!r} must be a finite capacity")
+    lo, hi = s.rate_mbps  # draw_rates draws R uniformly from [lo, hi) * 1e6 bits/s
+    _require(math.isfinite(s.frame_bits / (lo * 1e6)) and math.isfinite(hi * 1e6 - lo * 1e6),
+             "scenario.rate_mbps", "lo, hi such that (hi - lo) * 1e6 and the uplink time "
+             f"scenario.frame_bits ({s.frame_bits!r}) / (lo * 1e6) are finite", s.rate_mbps)
     probs = s.turn_probs
     _require(isinstance(probs, tuple) and len(probs) == 3
              and all(_is_number(p) and p >= 0 for p in probs) and sum(probs) > 0,
@@ -225,6 +238,12 @@ def _check_predictor(p: PredictorSection) -> None:
         _require(isinstance(diag, tuple) and len(diag) == length
                  and all(_is_number(v) and v >= 0 for v in diag),
                  f"predictor.{key}", f"{length} finite numbers >= 0", diag)
+    # det S >= det(H Q H^T + R) for every filter history (Minkowski), so this
+    # keeps each measurement update clear of the singular-innovation check
+    (qx, qy, _, _), (rx, ry) = p.q_diag, p.r_diag
+    _require((qx + rx) * (qy + ry) >= SINGULAR_DET, "predictor.r_diag",
+             f"such that (q_x + r_x) * (q_y + r_y) >= {SINGULAR_DET:g} with q_diag "
+             f"{p.q_diag!r}", p.r_diag)
     _require(_is_number(p.roi_height_m) and p.roi_height_m > 0,
              "predictor.roi_height_m", "a finite number > 0", p.roi_height_m)
     for key in ("measurement_noise_std", "theta_turn_deg"):

@@ -22,10 +22,6 @@ class SingularInnovation(Exception):
     """Innovation covariance is numerically singular in a filter update."""
 
 
-class EmptyRoi(Exception):
-    """Region of interest rasterizes to zero cells."""
-
-
 class DomainError(ValueError):
     """Argument outside the mathematical domain of an operation."""
 

@@ -26,8 +26,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyRoi
-from .model import Roi, VehicleState
+from .model import STRAIGHT_ROI, VehicleState
 
 TriangleLike = Optional[Sequence[Sequence[float]]]
 
@@ -132,8 +131,6 @@ def _triangle_cells(tri: TriangleLike, grid_spec: GridSpec) -> np.ndarray:
 
 def fov_triangle(v: VehicleState, range_m: float, half_angle: float) -> tuple:
     """Isosceles sensor triangle: apex at the vehicle, axis along its heading."""
-    if range_m <= 0:
-        raise ValueError(f"range must be positive, got {range_m}")
     x, y = v.position
     ux, uy = math.cos(v.heading), math.sin(v.heading)
     # perpendicular (left of the axis)
@@ -145,12 +142,6 @@ def fov_triangle(v: VehicleState, range_m: float, half_angle: float) -> tuple:
         (base_x + half_base * nx, base_y + half_base * ny),
         (base_x - half_base * nx, base_y - half_base * ny),
     )
-
-
-def _roi_triangle(roi) -> TriangleLike:
-    if isinstance(roi, Roi):
-        return roi.triangle
-    return roi
 
 
 class EpochRasters:
@@ -168,7 +159,7 @@ class EpochRasters:
                  grid_spec: GridSpec):
         self.ids = tuple(ids)
         self._row = {u: a for a, u in enumerate(self.ids)}
-        roi_cells = [_triangle_cells(_roi_triangle(rois[u]), grid_spec) for u in self.ids]
+        roi_cells = [_triangle_cells(rois[u].triangle, grid_spec) for u in self.ids]
         fov_cells = [_triangle_cells(fovs[u], grid_spec) for u in self.ids]
         merged = np.sort(np.concatenate([_NO_CELLS, *roi_cells]))
         first = np.ones(merged.size, dtype=bool)
@@ -209,11 +200,12 @@ class EpochRasters:
         raise ValueError(f"unknown pair mode {mode!r}")
 
     def awareness(self, i: int, collaborators: Iterable[int]) -> float:
-        """Fraction of user i's ROI covered by its own FOV plus collaborators' FOVs."""
+        """Fraction of user i's ROI covered by its own FOV plus collaborators' FOVs;
+        0.0 for an ROI with no cells (straight, degenerate or off the grid)."""
         a = self._row[i]
         total = int(self.total[a])
         if total == 0:
-            raise EmptyRoi(f"user {i} ROI rasterizes to zero cells")
+            return 0.0
         others = [self._row[k] for k in collaborators]
         cover = self.fov[a] | self.fov[others].any(axis=0)
         return int(np.count_nonzero(self.roi[a] & cover)) / total
@@ -225,7 +217,7 @@ def detected_awareness(i: int, collaborators: Iterable[int],
     """Fraction of user i's ROI covered by its own FOV plus collaborators' FOVs."""
     others = sorted(set(collaborators) - {i})
     # collaborators' ROIs do not enter i's awareness
-    only_i = {**dict.fromkeys(others), i: rois[i]}
+    only_i = {**dict.fromkeys(others, STRAIGHT_ROI), i: rois[i]}
     return EpochRasters([i, *others], only_i, fovs, grid_spec).awareness(i, others)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import EmptyRoi, EmptyRun
+from .errors import EmptyRun
 from .geometry import EpochRasters
 from .model import Assignment, Turn
 from .qmkp import QmkpInstance
@@ -56,10 +56,7 @@ def epoch_metrics(slot: int, rasters: Optional[EpochRasters],
     for i, turn in enumerate(turns):
         j = assignment.worker_of(i)
         others = [rasters.ids[k] for k in assignment.users_of(j) if k != i]
-        try:
-            awareness = rasters.awareness(rasters.ids[i], others)
-        except EmptyRoi:
-            awareness = 0.0  # ROI fell outside the rasterized region
+        awareness = rasters.awareness(rasters.ids[i], others)
         records.append(UserEpochRecord(
             user_id=rasters.ids[i],
             turn=turn,

@@ -2,7 +2,9 @@
 
 Conventions used everywhere in this package: user and worker ids are dense
 integers 0..n-1 / 0..m-1, tie-breaking is always "lowest id first", and all
-types are immutable value objects after construction.
+types are immutable value objects after construction. The per-slot types are
+plain records: their values are checked once where they enter, by the config
+and by ``load_trace``, and stored as given.
 """
 from __future__ import annotations
 
@@ -38,12 +40,6 @@ class VehicleState:
     speed: float                   # m/s
     slot: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "position",
-                           (float(self.position[0]), float(self.position[1])))
-        object.__setattr__(self, "heading", normalize_heading(self.heading))
-        object.__setattr__(self, "speed", float(self.speed))
-
 
 @dataclass(frozen=True)
 class Worker:
@@ -54,10 +50,6 @@ class Worker:
     cpu_capacity: float  # cycles/s
     comm_range: float    # meters
 
-    def __post_init__(self):
-        object.__setattr__(self, "position",
-                           (float(self.position[0]), float(self.position[1])))
-
 
 @dataclass(frozen=True)
 class Roi:
@@ -66,15 +58,11 @@ class Roi:
     A STRAIGHT turn carries no triangle (``triangle is None``).
     """
 
-    triangle: Optional[tuple[tuple[float, float], ...]]
+    triangle: Optional[tuple[tuple[float, float], ...]]  # 3 vertices
     turn: Turn
 
-    def __post_init__(self):
-        if self.triangle is not None:
-            tri = tuple((float(x), float(y)) for x, y in self.triangle)
-            if len(tri) != 3:
-                raise ValueError("triangle needs exactly 3 vertices")
-            object.__setattr__(self, "triangle", tri)
+
+STRAIGHT_ROI = Roi(triangle=None, turn=Turn.STRAIGHT)
 
 
 class Assignment:

@@ -27,12 +27,13 @@ from typing import TYPE_CHECKING, Optional, Sequence
 import numpy as np
 
 from .errors import SingularInnovation
-from .model import Roi, Turn, VehicleState
+from .model import STRAIGHT_ROI, Roi, Turn, VehicleState
 
 if TYPE_CHECKING:
     from .config import PredictorSection
 
 PSD_TOL = 1e-9
+SINGULAR_DET = 1e-12  # smallest |det| of an innovation covariance an update accepts
 
 
 def _check_psd(mat: np.ndarray, name: str, tol: float = PSD_TOL) -> None:
@@ -60,10 +61,10 @@ def _update_cov(h_mat: np.ndarray, p_pred: np.ndarray,
     """Gain and posterior covariance of a measurement update.
 
     Raises SingularInnovation when the 2x2 innovation covariance is singular
-    beyond tolerance 1e-12.
+    beyond tolerance SINGULAR_DET.
     """
     s_mat = h_mat @ p_pred @ h_mat.T + r_meas
-    if abs(float(np.linalg.det(s_mat))) < 1e-12:
+    if abs(float(np.linalg.det(s_mat))) < SINGULAR_DET:
         raise SingularInnovation(f"innovation covariance is singular: {s_mat.tolist()}")
     gain = np.linalg.solve(s_mat.T, (p_pred @ h_mat.T).T).T
     p_new = (np.eye(4) - gain @ h_mat) @ p_pred
@@ -177,10 +178,8 @@ def estimate_roi(current: VehicleState, turn: Turn, roi_height: float) -> Roi:
     rotated +pi/2 for a left turn and -pi/2 for a right turn. Straight
     driving carries an empty ROI.
     """
-    if roi_height <= 0:
-        raise ValueError(f"roi height must be positive, got {roi_height}")
     if turn is Turn.STRAIGHT:
-        return Roi(triangle=None, turn=turn)
+        return STRAIGHT_ROI
     axis = current.heading + (math.pi / 2 if turn is Turn.LEFT else -math.pi / 2)
     ux, uy = math.cos(axis), math.sin(axis)
     nx, ny = -uy, ux
@@ -191,9 +190,6 @@ def estimate_roi(current: VehicleState, turn: Turn, roi_height: float) -> Roi:
            (bx + half_base * nx, by + half_base * ny),
            (bx - half_base * nx, by - half_base * ny))
     return Roi(triangle=tri, turn=turn)
-
-
-_STRAIGHT = Roi(triangle=None, turn=Turn.STRAIGHT)
 
 
 class FilterBank:
@@ -272,7 +268,7 @@ def run_predictor(states: Sequence[VehicleState], bank: FilterBank,
     for state, is_warm, predicted_pos in zip(states, warm, ahead):
         turn = (classify_turn(state, predicted_pos, bank.theta_turn)
                 if is_warm else Turn.STRAIGHT)
-        out[state.user_id] = (_STRAIGHT if turn is Turn.STRAIGHT
+        out[state.user_id] = (STRAIGHT_ROI if turn is Turn.STRAIGHT
                               else estimate_roi(state, turn, cfg.roi_height_m))
     return out
 

@@ -105,7 +105,6 @@ class QmkpInstance:
 class Solution:
     assignment: Assignment
     objective: float
-    feasible: bool
     nodes: int = 0
     iterations: int = 0
     budget_exceeded: bool = False
@@ -294,4 +293,4 @@ def enumerate_optimal(inst: QmkpInstance, chunk_size: int = 1 << 16) -> Solution
             best_sol = a
     if best_sol is None:  # only possible when nothing is feasible except empty
         best_sol, best_obj = Assignment.empty(), 0.0
-    return Solution(best_sol, best_obj, True, nodes=total)
+    return Solution(best_sol, best_obj, nodes=total)

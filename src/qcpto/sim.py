@@ -186,22 +186,21 @@ def run_simulation(trace: Trace, workers: Sequence[Worker], scheme: str,
         with _epoch_errors(slot):
             rois = run_predictor(rec.states, bank, noise_rng)
             coast(bank)
-        states = {s.user_id: s for s in rec.states}
-        ctx = build_epoch(slot, rois, states, rates, workers, cfg, gspec)
-        with _epoch_errors(slot):
+            states = {s.user_id: s for s in rec.states}
+            ctx = build_epoch(slot, rois, states, rates, workers, cfg, gspec)
             t0 = time.perf_counter()
             inst_assignment = solve_epoch(ctx, scheme, cfg, seed * 1_000_003 + slot)
             decision_time = time.perf_counter() - t0
-        assignment = Assignment({ctx.queue_ids[i]: j
-                                 for i, j in inst_assignment.items()})
-        objective = (evaluate_objective(inst_assignment, ctx.instance.quality)
-                     if ctx.instance is not None else 0.0)
-        report = epoch_metrics(
-            slot, ctx.rasters, ctx.instance, inst_assignment,
-            [ctx.rois[u].turn for u in ctx.queue_ids], len(workers),
-            phi=cfg.metrics.phi, assigned_only=cfg.metrics.assigned_only)
-        epochs.append(EpochLog(report, objective, assignment, ctx.queue_ids,
-                               decision_time))
+            assignment = Assignment({ctx.queue_ids[i]: j
+                                     for i, j in inst_assignment.items()})
+            objective = (evaluate_objective(inst_assignment, ctx.instance.quality)
+                         if ctx.instance is not None else 0.0)
+            report = epoch_metrics(
+                slot, ctx.rasters, ctx.instance, inst_assignment,
+                [ctx.rois[u].turn for u in ctx.queue_ids], len(workers),
+                phi=cfg.metrics.phi, assigned_only=cfg.metrics.assigned_only)
+            epochs.append(EpochLog(report, objective, assignment, ctx.queue_ids,
+                                   decision_time))
 
     return run_aggregate([e.report for e in epochs]), epochs
 

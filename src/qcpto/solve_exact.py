@@ -17,8 +17,7 @@ before any worker so that users contributing nothing stay out of the system.
 from __future__ import annotations
 
 from .model import Assignment
-from .qmkp import (QmkpInstance, Solution, check_feasible, evaluate_objective,
-                   repair_min_pair)
+from .qmkp import QmkpInstance, Solution, evaluate_objective, repair_min_pair
 from .solve_heur import greedy_bin_packing
 
 BOUND_SLACK = 1e-9
@@ -144,12 +143,9 @@ def solve_exact(inst: QmkpInstance, budget: int = 2_000_000) -> Solution:
         dfs(t + 1, obj)  # leave u unassigned
 
     dfs(0, 0.0)
-
-    feasible, _ = check_feasible(best_assignment, inst)
     return Solution(
         assignment=best_assignment,
         objective=best_obj,
-        feasible=feasible,
         nodes=state["nodes"],
         budget_exceeded=state["exceeded"],
     )

@@ -201,7 +201,6 @@ def solve_heuristic(inst: QmkpInstance, solver: SolverSection, seed: int) -> Sol
     return Solution(
         assignment=final,
         objective=evaluate_objective(final, q),
-        feasible=True,
         iterations=iters,
         trajectory=tuple(trajectory),
     )

@@ -34,30 +34,12 @@ CSV_HEADER = "slot,user_id,x_m,y_m,heading_rad,speed_mps"
 @dataclass(frozen=True)
 class SlotRecord:
     slot: int
-    states: tuple[VehicleState, ...]
-
-    def __post_init__(self):
-        states = tuple(sorted(self.states, key=lambda s: s.user_id))
-        seen = set()
-        for s in states:
-            if s.user_id in seen:
-                raise InvariantError(
-                    f"user {s.user_id} appears twice in slot {self.slot}")
-            seen.add(s.user_id)
-        object.__setattr__(self, "states", states)
+    states: tuple[VehicleState, ...]  # ascending user id, each at most once
 
 
 @dataclass(frozen=True)
 class Trace:
-    records: tuple[SlotRecord, ...]
-
-    def __post_init__(self):
-        recs = tuple(self.records)
-        for prev, cur in zip(recs, recs[1:]):
-            if cur.slot != prev.slot + 1:
-                raise InvariantError(
-                    f"slot indices must increase by 1, got {prev.slot} -> {cur.slot}")
-        object.__setattr__(self, "records", recs)
+    records: tuple[SlotRecord, ...]  # slots increasing by 1
 
     @property
     def n_slots(self) -> int:
@@ -88,10 +70,11 @@ class Trace:
 def load_trace(path, delta: float, max_speed: Optional[float] = None) -> Trace:
     """Parse a trace CSV; empty files yield an empty trace.
 
-    Interior slots with no rows are represented as empty records so the slot
-    axis stays contiguous. Raises ParseError for malformed rows and
-    InvariantError for decreasing slots or (with max_speed given) physically
-    inconsistent steps.
+    Headings are wrapped to [0, 2*pi) and each slot's rows sorted by user
+    id; interior slots with no rows are represented as empty records so the
+    slot axis stays contiguous. Raises ParseError for malformed, non-finite
+    or duplicate rows and InvariantError for decreasing slots or (with
+    max_speed given) physically inconsistent steps.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = fh.read().split("\n")
@@ -119,6 +102,8 @@ def load_trace(path, delta: float, max_speed: Optional[float] = None) -> Trace:
             speed = float(parts[5])
         except ValueError as exc:
             raise ParseError(lineno, str(exc)) from exc
+        if not all(map(math.isfinite, (x, y, heading, speed))):
+            raise ParseError(lineno, f"non-finite value in {raw!r}")
         if speed < 0:
             raise ParseError(lineno, f"negative speed {speed}")
         if (slot, uid) in seen:
@@ -129,12 +114,13 @@ def load_trace(path, delta: float, max_speed: Optional[float] = None) -> Trace:
                 f"line {lineno}: slots must be non-decreasing, got {slot} after {last_slot}")
         last_slot = slot
         by_slot.setdefault(slot, []).append(
-            VehicleState(uid, (x, y), heading, speed, slot))
+            VehicleState(uid, (x, y), normalize_heading(heading), speed, slot))
 
     if not by_slot:
         return Trace(())
     lo, hi = min(by_slot), max(by_slot)
-    records = tuple(SlotRecord(s, tuple(by_slot.get(s, ()))) for s in range(lo, hi + 1))
+    records = tuple(SlotRecord(s, tuple(sorted(by_slot.get(s, ()), key=lambda v: v.user_id)))
+                    for s in range(lo, hi + 1))
     trace = Trace(records)
     if max_speed is not None:
         violations = trace.speed_violations(max_speed, delta)

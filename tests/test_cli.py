@@ -6,6 +6,8 @@ import pytest
 from qcpto.cli import main
 from qcpto.config import config_from_dict, config_to_dict, RunConfig
 from qcpto.errors import ConfigError
+from qcpto.model import Assignment
+from qcpto.qmkp import Solution
 
 
 def small_config_doc(**extra):
@@ -98,6 +100,16 @@ def test_oracle_happy_path(tmp_path):
     lines = (out / "gap_table.csv").read_text().splitlines()
     assert len(lines) == 6
     assert all(row.split(",")[6] == "0" for row in lines[1:])  # no mismatches
+
+
+def test_oracle_reports_an_infeasible_answer(tmp_path, capsys, monkeypatch):
+    def lone_user(inst, budget=0):  # one user alone on a worker breaks min-pair
+        return Solution(Assignment({0: 0}), 0.0)
+    monkeypatch.setattr("qcpto.cli.solve_exact", lone_user)
+    assert main(["oracle", "--n", "4", "--m", "2", "--count", "1",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "INFEASIBLE exact answer on instance 0: worker 0 hosts a single user" \
+        in capsys.readouterr().err
 
 
 def test_oracle_zero_count(tmp_path):
@@ -262,9 +274,29 @@ def test_run_bad_geometry_value_exits_1(tmp_path, capsys, key, value):
 
 
 def test_config_accepts_zero_process_and_measurement_noise():
-    cfg = config_from_dict({"predictor": {"q_diag": [0, 0, 0, 0], "r_diag": [0, 0]}})
+    # each alone: the other keeps every innovation covariance regular
+    cfg = config_from_dict({"predictor": {"q_diag": [0, 0, 0, 0]}})
     assert cfg.predictor.q_diag == (0, 0, 0, 0)
+    cfg = config_from_dict({"predictor": {"r_diag": [0, 0]}})
     assert cfg.predictor.r_diag == (0, 0)
+
+
+@pytest.mark.parametrize("p0_diag", [[1.0, 1.0, 10.0, 10.0], [0, 0, 0, 0]])
+def test_run_singular_noise_exits_1(tmp_path, capsys, p0_diag):
+    # zero q and r make the innovation covariance singular at epoch 3, or at
+    # epoch 1 with a zero P0 as well
+    doc = small_config_doc(predictor={"q_diag": [0, 0, 0, 0], "r_diag": [0, 0],
+                                      "p0_diag": p0_diag})
+    out = tmp_path / "r"
+    assert main(["run", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
+    assert "predictor.r_diag" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_zero_measurement_noise_runs(tmp_path):
+    doc = small_config_doc(predictor={"r_diag": [0, 0]})
+    assert main(["run", "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path / "r")]) == 0
 
 
 def doc_with(path, value, **extra):
@@ -325,6 +357,30 @@ def test_run_bad_scenario_value_exits_1(tmp_path, capsys, key, value, experiment
     out = tmp_path / "r"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 1
     assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+# each loads on its own terms but overflows a quantity the instance derives
+# at the first queued epoch: the capacity floor(kappa * C / l) or the uplink
+# time lambda / R, or the range numpy draws R from
+@pytest.mark.parametrize("scenario,key,experiment", [
+    ({"deadline_s": 1e308}, "scenario.deadline_s", None),
+    ({"workload_cycles": 1e-320}, "scenario.workload_cycles", None),
+    ({"worker_base_cpu_ghz": 1e300, "worker_cpu_step_ghz": 1e300},
+     "scenario.worker_base_cpu_ghz", None),
+    ({"rate_mbps": [1e-310, 1e-310]}, "scenario.rate_mbps", None),
+    ({"rate_mbps": [1.0, 1e303]}, "scenario.rate_mbps", None),
+    ({}, "scenario.deadline_s", "Deadline"),
+])
+def test_run_overflowing_task_value_exits_1(tmp_path, capsys, scenario, key, experiment):
+    doc = small_config_doc()
+    doc["scenario"].update(scenario)
+    if experiment is not None:
+        doc["sweep"] = {"experiment": experiment, "grid": [0.4, 1e308]}
+    out = tmp_path / "r"
+    assert main(["run", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert key in err and "run failed" not in err
     assert not out.exists()
 
 

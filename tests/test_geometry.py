@@ -4,7 +4,6 @@ import random
 import numpy as np
 import pytest
 
-from qcpto.errors import EmptyRoi
 from qcpto.geometry import (EpochRasters, GridSpec, QualityMatrix,
                             build_quality_matrix, detected_awareness, fov_triangle,
                             rasterize_triangle)
@@ -102,11 +101,10 @@ def test_awareness_one_when_collaborator_covers_roi():
     assert detected_awareness(0, {1}, rois, fovs, GRID50) == 1.0
 
 
-def test_awareness_empty_roi_raises():
+def test_awareness_empty_roi_is_zero():
     rois = {0: Roi(triangle=None, turn=Turn.STRAIGHT)}
     fovs = {0: ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))}
-    with pytest.raises(EmptyRoi):
-        detected_awareness(0, set(), rois, fovs, GRID50)
+    assert detected_awareness(0, set(), rois, fovs, GRID50) == 0.0
 
 
 def test_awareness_matches_oracle_on_random_configs():

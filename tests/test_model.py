@@ -3,14 +3,12 @@ import random
 
 import pytest
 
-from qcpto.model import Assignment, Roi, Turn, VehicleState, normalize_heading
+from qcpto.model import Assignment, Roi, Turn, normalize_heading
 
 
 def test_heading_normalization():
     assert normalize_heading(2 * math.pi) == 0.0
     assert normalize_heading(-math.pi / 2) == pytest.approx(3 * math.pi / 2)
-    s = VehicleState(0, (0, 0), -7.0, 1.0, 0)
-    assert 0.0 <= s.heading < 2 * math.pi
 
 
 def test_roi_straight_is_empty():

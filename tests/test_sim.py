@@ -4,6 +4,7 @@ import io
 import numpy as np
 import pytest
 
+from qcpto import sim
 from qcpto.config import RunConfig, ScenarioSection, SweepSection
 from qcpto.model import Assignment
 from qcpto.predict import FilterBank, coast, run_predictor
@@ -175,6 +176,23 @@ def test_measurement_noise_flag_changes_predictions_deterministically():
     assert epochs_as_text(r1[1]) == epochs_as_text(r2[1])
     clean = run_scenario(base, "go", seed=3)
     assert epochs_as_text(clean[1]) != epochs_as_text(r1[1])
+
+
+@pytest.mark.parametrize("stage", ["build_epoch", "epoch_metrics"])
+def test_a_failing_stage_names_its_epoch(monkeypatch, stage):
+    cfg = small_cfg()
+    trace = synth_intersection(cfg.scenario, 1)
+    failing = trace.records[5].slot
+    original = getattr(sim, stage)
+
+    def fail_at_slot(slot, *args, **kwargs):
+        if slot == failing:
+            raise ValueError("stage failed")
+        return original(slot, *args, **kwargs)
+    monkeypatch.setattr(sim, stage, fail_at_slot)
+    with pytest.raises(ValueError) as info:
+        run_simulation(trace, default_workers(cfg, 0), "go", cfg, seed=0)
+    assert str(info.value) == f"epoch {failing}: stage failed"
 
 
 def test_run_simulation_rejects_bad_input():

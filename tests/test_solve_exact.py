@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from qcpto.config import SolverSection
 from qcpto.geometry import QualityMatrix
+from qcpto.model import Assignment
 from qcpto.qmkp import check_feasible, enumerate_optimal, evaluate_objective, random_instance
 from qcpto.sim import make_synthetic_instance
 from qcpto.solve_exact import solve_exact
@@ -23,7 +26,7 @@ def test_two_users_one_worker():
     sol = solve_exact(inst)
     assert sol.objective == pytest.approx(0.5)
     assert sol.assignment.users_of(0) == (0, 1)
-    assert sol.feasible and not sol.budget_exceeded
+    assert check_feasible(sol.assignment, inst)[0] and not sol.budget_exceeded
 
 
 def test_three_users_capacity_two_picks_best_pair():
@@ -163,3 +166,47 @@ def test_certifies_a_24_user_queue(seed):
     assert not sol.budget_exceeded
     heuristic = max(solve_heuristic(inst, SolverSection(), s).objective for s in range(4))
     assert sol.objective == heuristic
+
+
+def worker_classes(inst):
+    """Workers grouped by (capacity, eligibility column), as the search groups them."""
+    classes = {}
+    for j in range(inst.m):
+        classes.setdefault((inst.capacity[j], inst.allowed[:, j].tobytes()), []).append(j)
+    return list(classes.values())
+
+
+@pytest.mark.parametrize("n", [12, 16])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_relabelling_workers_in_a_class_or_users_keeps_the_answer(n, seed):
+    inst = make_synthetic_instance(n, seed)
+    sol = solve_exact(inst)
+    assert not sol.budget_exceeded
+
+    # workers of one class trade places, each taking its cpu, transmit and
+    # distance columns: the answer must not move
+    cols = np.arange(inst.m)
+    classes = worker_classes(inst)
+    assert max(len(c) for c in classes) > 1
+    for members in classes:
+        cols[members] = np.roll(members, 1)
+    moved = dataclasses.replace(inst, cpu=inst.cpu[cols], transmit=inst.transmit[:, cols],
+                                distance=inst.distance[:, cols])
+    sol_w = solve_exact(moved)
+    assert not sol_w.budget_exceeded
+    assert sol_w.assignment == sol.assignment and sol_w.objective == sol.objective
+
+    # new user a is old user perm[a]: the optimum keeps its value, and the
+    # answer mapped back scores the same on the original instance
+    perm = np.random.default_rng(seed).permutation(n)
+    q = inst.quality.q[np.ix_(perm, perm)]
+    relabelled = dataclasses.replace(
+        inst, quality=QualityMatrix(q), allowed=inst.allowed[perm],
+        distance=inst.distance[perm], transmit=inst.transmit[perm])
+    sol_u = solve_exact(relabelled)
+    assert not sol_u.budget_exceeded
+    assert sol_u.objective == pytest.approx(sol.objective, abs=1e-12, rel=0)
+    back = Assignment({int(perm[a]): w for a, w in sol_u.assignment.items()})
+    assert check_feasible(back, inst)[0]
+    assert evaluate_objective(back, inst.quality) == pytest.approx(
+        sol.objective, abs=1e-12, rel=0)

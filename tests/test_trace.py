@@ -56,6 +56,15 @@ def test_load_bad_header(tmp_path):
     assert err.value.line == 1
 
 
+@pytest.mark.parametrize("row", ["0,7,nan,2.0,0.0,3.0", "0,7,1.0,-inf,0.0,3.0",
+                                 "0,7,1.0,2.0,inf,3.0", "0,7,1.0,2.0,0.0,nan"])
+def test_load_non_finite_value_raises_parse_error(tmp_path, row):
+    path = write(tmp_path, f"{CSV_HEADER}\n0,1,1.0,2.0,0.0,3.0\n{row}\n")
+    with pytest.raises(ParseError) as err:
+        load_trace(path, delta=1.0)
+    assert err.value.line == 3
+
+
 def test_load_decreasing_slots_raise_invariant_error(tmp_path):
     path = write(tmp_path, f"{CSV_HEADER}\n1,7,1.0,2.0,0.0,3.0\n0,7,0.0,2.0,0.0,3.0\n")
     with pytest.raises(InvariantError):
@@ -92,15 +101,21 @@ def test_save_load_round_trip(tmp_path):
     assert load_trace(path, delta=1.0) == synth
 
 
-def test_duplicate_user_in_slot_record_rejected():
-    with pytest.raises(InvariantError):
-        SlotRecord(0, (VehicleState(1, (0, 0), 0, 1, 0),
-                       VehicleState(1, (1, 0), 0, 1, 0)))
+def test_load_wraps_headings(tmp_path):
+    path = write(tmp_path, f"{CSV_HEADER}\n0,1,0.0,0.0,-7.0,1.0\n0,2,5.0,0.0,7.0,1.0\n")
+    first, second = load_trace(path, delta=1.0).records[0].states
+    assert first.heading == pytest.approx(-7.0 + 4 * math.pi)
+    assert second.heading == pytest.approx(7.0 - 2 * math.pi)
+    assert all(0.0 <= s.heading < 2 * math.pi for s in (first, second))
 
 
-def test_trace_requires_contiguous_slots():
-    with pytest.raises(InvariantError):
-        Trace((SlotRecord(0, ()), SlotRecord(2, ())))
+def test_load_sorts_each_slot_by_user_id(tmp_path):
+    path = write(tmp_path, f"{CSV_HEADER}\n0,9,1.0,0.0,0.0,1.0\n0,3,2.0,0.0,0.0,1.0\n"
+                           "0,5,3.0,0.0,0.0,1.0\n1,5,4.0,0.0,0.0,1.0\n1,3,3.0,0.0,0.0,1.0\n")
+    trace = load_trace(path, delta=1.0)
+    assert [[s.user_id for s in rec.states] for rec in trace.records] == [[3, 5, 9], [3, 5]]
+    assert [s.position for s in trace.records[0].states] == [(2.0, 0.0), (3.0, 0.0),
+                                                             (1.0, 0.0)]
 
 
 def test_synth_is_deterministic():
