@@ -70,7 +70,6 @@ class PredictorSection:
 @dataclass(frozen=True)
 class GeometrySection:
     cell_size_m: float = 1.0
-    pair_mode: str = "sum"  # or "max" / "mean"
     fov_range_m: float = 20.0
     fov_half_angle_deg: float = 30.0
 
@@ -90,7 +89,6 @@ class SolverSection:
 @dataclass(frozen=True)
 class MetricsSection:
     phi: float = 0.35
-    assigned_only: bool = False
 
 
 @dataclass(frozen=True)
@@ -160,8 +158,6 @@ def validate_config(cfg: RunConfig) -> None:
     _check_solver(cfg.solver)
     _require(_is_number(cfg.metrics.phi) and 0.0 <= cfg.metrics.phi <= 1.0,
              "metrics.phi", "a number in [0, 1]", cfg.metrics.phi)
-    _require(isinstance(cfg.metrics.assigned_only, bool), "metrics.assigned_only",
-             "true or false", cfg.metrics.assigned_only)
     _check_sweep(cfg.sweep, cfg.scenario)
 
 
@@ -256,8 +252,6 @@ def _check_predictor(p: PredictorSection) -> None:
 
 
 def _check_geometry(g: GeometrySection, s: ScenarioSection) -> None:
-    if g.pair_mode not in ("sum", "max", "mean"):
-        raise ConfigError(f"unknown pair mode {g.pair_mode!r} for key geometry.pair_mode")
     for key in ("cell_size_m", "fov_range_m"):
         value = getattr(g, key)
         _require(_is_number(value) and value > 0, f"geometry.{key}",

@@ -5,12 +5,12 @@ iff the cell's *center* lies inside it or on its boundary (center-sampling
 rule); degenerate triangles cover nothing. Coverage fractions are measured
 over the in-grid cells of the region of interest.
 
-The pairwise shared-interest value between users i and k combines the two
-directional coverage gains
+The pairwise shared-interest value between users i and k is the sum of the
+two directional coverage gains, g(i<-k) + g(k<-i), where
 
     g(i<-k) = |cells(ROI_i) & cells(FOV_k) \\ cells(FOV_i)| / |cells(ROI_i)|
 
-i.e. the fraction of i's region of interest that k's field of view covers
+is the fraction of i's region of interest that k's field of view covers
 and i's own does not (non-redundant gain; 0 when ROI_i is empty).
 
 Pipeline code rasterizes each queued user's ROI and FOV once per epoch into
@@ -180,24 +180,18 @@ class EpochRasters:
         pos = np.minimum(np.searchsorted(self.cells, cells), self.cells.size - 1)
         return pos[self.cells[pos] == cells]
 
-    def quality(self, mode: str = "sum") -> np.ndarray:
+    def quality(self) -> np.ndarray:
         """Pairwise shared interest of all users, rows/columns in ``ids`` order.
 
-        ``g[a, b]`` is the directional gain of user a from user b; the pair
-        value combines ``g[a, b]`` and ``g[b, a]`` by ``mode``.
+        ``g[a, b]`` is the directional gain g(a<-b) of user a from user b; the
+        pair value is g(a<-b) + g(b<-a), so the result is ``g + g.T``.
         """
         need = self.roi & ~self.fov
         counts = np.count_nonzero(need[:, None, :] & self.fov[None, :, :], axis=2)
         total = self.total[:, None]
         g = np.zeros(counts.shape)
         np.divide(counts, total, out=g, where=total > 0)
-        if mode == "sum":
-            return g + g.T
-        if mode == "max":
-            return np.maximum(g, g.T)
-        if mode == "mean":
-            return 0.5 * (g + g.T)
-        raise ValueError(f"unknown pair mode {mode!r}")
+        return g + g.T
 
     def awareness(self, i: int, collaborators: Iterable[int]) -> float:
         """Fraction of user i's ROI covered by its own FOV plus collaborators' FOVs;
@@ -245,10 +239,10 @@ class QualityMatrix:
         return self.q.shape[0]
 
 
-def build_quality_matrix(rasters: EpochRasters, mode: str = "sum") -> QualityMatrix:
+def build_quality_matrix(rasters: EpochRasters) -> QualityMatrix:
     """Pairwise shared interest for all unordered pairs of a raster bank's users.
 
     Row/column order follows ``rasters.ids``.
     """
-    return QualityMatrix(rasters.quality(mode))
+    return QualityMatrix(rasters.quality())
 

@@ -47,8 +47,7 @@ def _safe_mean(values: Sequence[float]) -> float:
 
 def epoch_metrics(slot: int, rasters: Optional[EpochRasters],
                   inst: Optional[QmkpInstance], assignment: Assignment,
-                  turns: Sequence[Turn], n_workers: int, phi: float = 0.35,
-                  assigned_only: bool = False) -> EpochReport:
+                  turns: Sequence[Turn], n_workers: int, phi: float = 0.35) -> EpochReport:
     """Evaluate one decision epoch on its raster bank and instance (None for an
     empty queue); ``assignment`` and ``turns`` are over the rows of ``rasters.ids``."""
     eta = assignment.eta()
@@ -66,7 +65,6 @@ def epoch_metrics(slot: int, rasters: Optional[EpochRasters],
             satisfied=awareness >= phi,
         ))
 
-    scored = [r for r in records if r.worker_id is not None] if assigned_only else records
     served = [r for r in records if r.worker_id is not None]
     # collaborating vehicles per worker, averaged over the deployment
     intensity = len(served) / n_workers if n_workers else 0.0
@@ -74,10 +72,10 @@ def epoch_metrics(slot: int, rasters: Optional[EpochRasters],
         slot=slot,
         records=tuple(records),
         eta=tuple(sorted(eta.items())),
-        mean_awareness=_safe_mean([r.awareness for r in scored]),
+        mean_awareness=_safe_mean([r.awareness for r in records]),
         mean_delay=_safe_mean([r.latency_s for r in served]),
         perception_intensity=intensity,
-        satisfaction_ratio=_safe_mean([1.0 if r.satisfied else 0.0 for r in scored]),
+        satisfaction_ratio=_safe_mean([1.0 if r.satisfied else 0.0 for r in records]),
         n_flagged=len(records),
         n_assigned=len(served),
     )

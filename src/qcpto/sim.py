@@ -107,7 +107,7 @@ def build_epoch(slot: int, rois: dict[int, Roi], states: dict,
         return EpochContext(slot, queue_ids, rois, fovs, None, None)
 
     rasters = EpochRasters(queue_ids, rois, fovs, gspec)
-    quality = build_quality_matrix(rasters, mode=geo.pair_mode)
+    quality = build_quality_matrix(rasters)
     # math.hypot per pair: np.hypot rounds differently in the last bit
     dist = np.array([[math.hypot(x - w.position[0], y - w.position[1]) for w in workers]
                      for x, y in (states[uid].position for uid in queue_ids)])
@@ -198,7 +198,7 @@ def run_simulation(trace: Trace, workers: Sequence[Worker], scheme: str,
             report = epoch_metrics(
                 slot, ctx.rasters, ctx.instance, inst_assignment,
                 [ctx.rois[u].turn for u in ctx.queue_ids], len(workers),
-                phi=cfg.metrics.phi, assigned_only=cfg.metrics.assigned_only)
+                phi=cfg.metrics.phi)
             epochs.append(EpochLog(report, objective, assignment, ctx.queue_ids,
                                    decision_time))
 
@@ -269,13 +269,14 @@ def sweep(experiment: str, grid: Sequence, seeds: Sequence[int],
     """One run per (grid value, scheme, seed); canonical result order.
 
     The QCPTO_THREADS environment variable caps process parallelism;
-    unset, empty or 1 runs sequentially.
+    unset, empty or 1 runs sequentially. The pool never holds more processes
+    than there are jobs: on fork it starts all of them at the first submit.
     """
     schemes = list(schemes if schemes is not None else cfg.sweep.schemes)
     jobs = [(experiment, value, scheme, seed, cfg)
             for value in grid for scheme in schemes for seed in seeds]
-    threads = sweep_threads()
-    if threads > 1 and len(jobs) > 1:
+    threads = min(sweep_threads(), len(jobs))
+    if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             records = list(pool.map(_sweep_job, jobs))
     else:

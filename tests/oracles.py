@@ -8,7 +8,8 @@ Three kinds of entry live here:
   cell, no shared helpers with the production rasterizer beyond the
   documented cell-membership rule.
 - The per-step reference filter (``KfState``, ``init_state``, ``kf_predict``,
-  ``kf_update``) steps one filter at a time and checks every covariance. It
+  ``kf_update``) steps one filter at a time and checks every covariance with
+  ``_check_psd``, a PSD test the pipeline does not run. It
   shares the filter bank's covariance helpers from ``qcpto.predict``
   (``_cov_root``, ``_predict_cov``, ``_update_cov``), so it pins the bank's
   row arithmetic and sharing, not those formulas; the closed-form checks
@@ -27,10 +28,19 @@ import numpy as np
 
 from qcpto.config import PredictorSection
 from qcpto.geometry import EpochRasters, QualityMatrix
-from qcpto.predict import (_check_psd, _cov_root, _predict_cov, _readonly,
-                           _update_cov)
+from qcpto.predict import _cov_root, _predict_cov, _readonly, _update_cov
 from qcpto.qmkp import QmkpInstance
 from qcpto.trace import CSV_HEADER, Trace
+
+PSD_TOL = 1e-9
+
+
+def _check_psd(mat: np.ndarray, name: str, tol: float = PSD_TOL) -> None:
+    if not np.allclose(mat, mat.T, atol=tol):
+        raise ValueError(f"{name} must be symmetric")
+    eig = np.linalg.eigvalsh(0.5 * (mat + mat.T))
+    if eig.min() < -tol:
+        raise ValueError(f"{name} must be positive semi-definite, min eig {eig.min():.3e}")
 
 
 def cross(ax, ay, bx, by, px, py):
@@ -82,14 +92,9 @@ def directional_gain_oracle(roi_tri, own_fov, other_fov, spec) -> float:
     return len(gained) / len(roi)
 
 
-def shared_interest_oracle(roi_i, fov_i, roi_k, fov_k, spec, mode="sum") -> float:
-    g_ik = directional_gain_oracle(roi_i, fov_i, fov_k, spec)
-    g_ki = directional_gain_oracle(roi_k, fov_k, fov_i, spec)
-    if mode == "sum":
-        return g_ik + g_ki
-    if mode == "max":
-        return max(g_ik, g_ki)
-    return 0.5 * (g_ik + g_ki)
+def shared_interest_oracle(roi_i, fov_i, roi_k, fov_k, spec) -> float:
+    return (directional_gain_oracle(roi_i, fov_i, fov_k, spec)
+            + directional_gain_oracle(roi_k, fov_k, fov_i, spec))
 
 
 def first_route(trace):
@@ -158,11 +163,11 @@ def kf_update(s: KfState, x_pred: np.ndarray, p_pred: np.ndarray,
                    s.q_proc, s.r_meas, s.updates + 1)
 
 
-def shared_interest(i, k, rois, fovs, grid_spec, mode="sum") -> float:
+def shared_interest(i, k, rois, fovs, grid_spec) -> float:
     """Symmetric pairwise value of information between users i and k."""
     if i == k:
         raise ValueError("shared interest is defined for distinct users")
-    return float(EpochRasters([i, k], rois, fovs, grid_spec).quality(mode)[0, 1])
+    return float(EpochRasters([i, k], rois, fovs, grid_spec).quality()[0, 1])
 
 
 def save_trace(trace: Trace, path) -> None:

@@ -264,6 +264,7 @@ def test_run_bad_predictor_value_exits_1(tmp_path, capsys, key, value):
     ("fov_half_angle_deg", 0.0),
     ("fov_half_angle_deg", 90.0),
     ("fov_half_angle_deg", float("nan")),
+    ("pair_mode", "sum"),  # a removed key, rejected as unknown
 ])
 def test_run_bad_geometry_value_exits_1(tmp_path, capsys, key, value):
     cfg = write_config(tmp_path, small_config_doc(geometry={key: value}))
@@ -339,6 +340,7 @@ def doc_with(path, value, **extra):
     ("seed", True, None),
     ("metrics.phi", None, None),
     ("metrics.phi", 1.5, None),
+    ("metrics.assigned_only", False, None),  # a removed key, rejected as unknown
     ("geometry.cell_size_m", 500.0, None),
     ("geometry.cell_size_m", 1e-320, None),
     ("sweep.grid", ["x"], "UserCount"),

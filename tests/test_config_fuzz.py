@@ -44,7 +44,6 @@ ANY_VALUE = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=4), max
 
 CHOICES = {
     "scheme": SCHEMES + ("bogus",),
-    "pair_mode": ("sum", "max", "mean", "bogus"),
     "experiment": EXPERIMENTS + (None, "bogus"),
 }
 

@@ -169,16 +169,6 @@ def test_directional_gain_zero_when_own_fov_covers_roi():
     assert shared_interest(0, 1, rois, fovs, GRID50) == 0.0
 
 
-def test_pair_mode_variants():
-    rng = random.Random(53)
-    rois = {0: tri_roi(random_triangle(rng)), 1: tri_roi(random_triangle(rng))}
-    fovs = {0: random_triangle(rng), 1: random_triangle(rng)}
-    s = shared_interest(0, 1, rois, fovs, GRID50, mode="sum")
-    mx = shared_interest(0, 1, rois, fovs, GRID50, mode="max")
-    mean = shared_interest(0, 1, rois, fovs, GRID50, mode="mean")
-    assert mx <= s <= 2.0 and mean == pytest.approx(s / 2)
-
-
 def test_quality_matrix_single_user():
     rois = {7: tri_roi(((1.0, 1.0), (5.0, 1.0), (3.0, 5.0)))}
     fovs = {7: ((0.0, 0.0), (6.0, 0.0), (3.0, 6.0))}

@@ -75,15 +75,6 @@ def test_empty_queue_is_nan_free():
     assert report.perception_intensity == 0.0
 
 
-def test_assigned_only_flag_restricts_scope():
-    ids = [0, 1]
-    rois = {0: roi(SMALL), 1: roi(SMALL)}
-    fovs = {0: BIG, 1: BIG}
-    a = Assignment.empty()
-    scoped = score(a, rois, fovs, ids, assigned_only=True)
-    assert scoped.mean_awareness == 0.0 and scoped.satisfaction_ratio == 0.0
-
-
 def test_satisfaction_monotone_in_phi():
     rng = random.Random(71)
     for _ in range(100):

@@ -12,7 +12,8 @@ from qcpto.predict import (FilterBank, classify_turn, coast, cv_transition,
                            estimate_roi, run_predictor)
 from qcpto.trace import synth_intersection
 
-from oracles import KfState, first_route, init_state, kf_predict, kf_update
+from oracles import (KfState, _check_psd, first_route, init_state, kf_predict,
+                     kf_update)
 
 
 def make_state(x=None, p=None, a=None, q=None, r=None):
@@ -269,3 +270,29 @@ def test_each_predictor_key_changes_the_bank_or_its_rois(key):
     assert getattr(changed, key) != getattr(base, key)
     validate_config(dataclasses.replace(RunConfig(), predictor=changed))
     assert bank_history(trace, changed) != bank_history(trace, base)
+
+
+def tree_nodes(root):
+    """Every covariance node reachable from root through update and coast successors."""
+    nodes, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack += [n for n in (node._updated, node._coasted) if n is not None]
+    return nodes
+
+
+@pytest.mark.parametrize("n_vehicles,seed", [(40, 0), (40, 1), (200, 0)])
+def test_every_pipeline_covariance_is_symmetric_psd(n_vehicles, seed):
+    # the bank checks no covariance itself, so the property is checked here,
+    # on every node a seeded run builds
+    trace = synth_intersection(ScenarioSection(n_vehicles=n_vehicles), seed)
+    bank = FilterBank(PredictorSection(), 1.0)
+    for rec in trace.records:
+        run_predictor(rec.states, bank)
+        coast(bank)
+    nodes = tree_nodes(bank.root)
+    assert any(node._coasted is not None for node in nodes)  # coasts are reached
+    for node in nodes:
+        _check_psd(node.p_cov, "p_cov")
+        _check_psd(node.p_pred, "p_pred")

@@ -97,6 +97,21 @@ def test_repair_deadline_evicts_lowest_contribution():
     assert check_feasible(fixed, inst, strict_deadline=True)[0]
 
 
+@pytest.mark.parametrize("entries,kept", [
+    # every user contributes 1.0: the lowest id of all goes
+    ({(0, 1): 0.5, (0, 2): 0.5, (1, 2): 0.5}, (1, 2)),
+    # user 0 contributes 2.0, users 1 and 2 tie at 1.0: the lower of those goes
+    ({(0, 1): 1.0, (0, 2): 1.0}, (0, 2)),
+])
+def test_repair_deadline_breaks_contribution_ties_by_lowest_id(entries, kept):
+    # same task as above: all three users miss the deadline at eta=3, none at 2
+    inst = bare_instance(
+        quality(entries, 3), capacity=(3.0,),
+        workload=0.24e9, cpu=np.full(1, 2e9), transmit=np.zeros((3, 1)), kappa=0.3)
+    fixed = repair_deadline(Assignment({0: 0, 1: 0, 2: 0}), inst)
+    assert fixed.users_of(0) == kept
+
+
 def test_instance_json_round_trip():
     # an oracle instance, and a pipeline one with a checkerboard eligibility mask
     synthetic = make_synthetic_instance(9, 2)

@@ -72,10 +72,6 @@ def drive_cli(tmp_path):
             "scenario": short, "solver": {"scheme": scheme}})])
     runs.append(["--config", write_config(tmp_path, "noise", {
         "scenario": short, "predictor": {"measurement_noise_std": 0.5}})])
-    for mode in ("max", "mean"):
-        runs.append(["--config", write_config(tmp_path, mode, {
-            "scenario": short, "geometry": {"pair_mode": mode},
-            "metrics": {"assigned_only": True}})])
     for k, args in enumerate(runs):
         assert main(["run", *args, "--out", str(tmp_path / f"run{k}")]) == 0
 

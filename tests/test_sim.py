@@ -156,6 +156,38 @@ def test_sweep_parallel_matches_sequential(monkeypatch):
     assert seq == par
 
 
+def recording_pool(sizes):
+    """A ProcessPoolExecutor stand-in that appends its size to ``sizes`` and
+    runs the jobs in-process, starting no process."""
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+    return Pool
+
+
+@pytest.mark.parametrize("threads,seeds,size", [
+    ("5000", (0, 1), 2),  # never more processes than jobs
+    ("2", (0, 1, 2), 2),
+    ("5000", (0,), None),  # one job runs in-process, without a pool
+])
+def test_sweep_pool_never_exceeds_the_job_count(monkeypatch, threads, seeds, size):
+    sizes = []
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", recording_pool(sizes))
+    monkeypatch.setenv("QCPTO_THREADS", threads)
+    records = sweep("UserCount", (4,), seeds, small_cfg(), ("go",))
+    assert [r["seed"] for r in records] == list(seeds)
+    assert sizes == ([] if size is None else [size])
+
+
 def test_strict_deadline_holds_for_every_served_user():
     cfg = small_cfg()
     kappa = cfg.scenario.deadline_s

@@ -11,7 +11,8 @@ from qcpto.model import Assignment
 from qcpto.qmkp import (check_feasible, enumerate_optimal, evaluate_objective,
                         random_instance, repair_min_pair)
 from qcpto.solve_exact import solve_exact
-from qcpto.solve_heur import fix_and_complete, greedy_bin_packing, solve_heuristic
+from qcpto.solve_heur import (_descend, fix_and_complete, greedy_bin_packing,
+                              solve_heuristic)
 
 from oracles import bare_instance
 
@@ -82,6 +83,13 @@ def test_greedy_fills_largest_worker_first():
         quality({(0, 1): 0.5, (0, 2): 0.5, (1, 2): 0.5}, 3),
         capacity=(1.0, 3.0))
     assert greedy_bin_packing(inst) == [1, 1, 1]
+
+
+def test_descend_swaps_in_a_better_unassigned_user():
+    # the one worker is full, so no relocation applies; swapping user 1 out
+    # for the unassigned user 2 raises the objective from 0.1 to 0.5
+    inst = bare_instance(quality({(0, 1): 0.1, (0, 2): 0.5}, 3), capacity=(2.0,))
+    assert _descend([0, 0, -1], inst) == [0, -1, 0]
 
 
 def test_fix_and_complete_always_drops_at_least_one():
