@@ -340,7 +340,6 @@ def doc_with(path, value, **extra):
     ("seed", True, None),
     ("metrics.phi", None, None),
     ("metrics.phi", 1.5, None),
-    ("metrics.assigned_only", False, None),  # a removed key, rejected as unknown
     ("geometry.cell_size_m", 500.0, None),
     ("geometry.cell_size_m", 1e-320, None),
     ("sweep.grid", ["x"], "UserCount"),
@@ -350,6 +349,7 @@ def doc_with(path, value, **extra):
     ("sweep.grid", 5, "UserCount"),
     ("scenario.arc_radius_m", 150.0, None),
     ("scenario.region_w", -5.0, None),
+    ("metrics.assigned_only", False, None),  # a removed key, rejected as unknown
 ])
 def test_run_bad_scenario_value_exits_1(tmp_path, capsys, key, value, experiment):
     doc = doc_with(key, value)
