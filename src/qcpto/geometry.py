@@ -13,10 +13,10 @@ two directional coverage gains, g(i<-k) + g(k<-i), where
 is the fraction of i's region of interest that k's field of view covers
 and i's own does not (non-redundant gain; 0 when ROI_i is empty).
 
-Pipeline code rasterizes each queued user's ROI and FOV once per epoch into
-an :class:`EpochRasters` bank, inside each triangle's bounding window, and
-counts the quality matrix's gains and the metrics' awareness from that one
-bank, over the union of the ROI cells only.
+Pipeline code rasterizes an epoch's queued ROIs and FOVs into an
+:class:`EpochRasters` bank, with one array pass covering all of the epoch's
+triangles, and counts the quality matrix's gains and the metrics' awareness
+from that one bank, over the union of the ROI cells only.
 """
 from __future__ import annotations
 
@@ -53,53 +53,45 @@ class GridSpec:
         return cls(origin[0], origin[1], cell_size,
                    int(round(width_m / cell_size)), int(round(height_m / cell_size)))
 
-    def center_x(self, col: np.ndarray | int):
-        return self.origin_x + (np.asarray(col) + 0.5) * self.cell_size
 
-    def center_y(self, row: np.ndarray | int):
-        return self.origin_y + (np.asarray(row) + 0.5) * self.cell_size
+def _cells(triangles: Sequence[TriangleLike], grid_spec: GridSpec):
+    """Owner and flat row-major index (row * width + col) of every covered cell.
 
-
-def _edge_values(ax, ay, bx, by, px, py):
-    # Cross product (b - a) x (p - a); same formula as the scalar oracle so
-    # boundary cells resolve identically.
-    return (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-
-
-def _triangle_window(tri: TriangleLike, grid_spec: GridSpec):
-    """Cells of a triangle inside its bounding window of the grid.
-
-    Returns ``(lo_row, lo_col, inside)``, where ``inside`` is a bool array
-    over the window's rows and columns starting at ``lo_row``/``lo_col``, or
-    ``None`` when the triangle is missing, degenerate or off the grid.
+    One padded ``(triangle, row, col)`` array pass tests all triangles over
+    their bounding windows at once. The result is grouped by owner (the
+    triangle's position in ``triangles``), ascending within each.
     """
-    if tri is None:
-        return None
-    (ax, ay), (bx, by), (cx, cy) = [(float(v[0]), float(v[1])) for v in tri]
-    area2 = _edge_values(ax, ay, bx, by, cx, cy)
-    if area2 == 0.0:
-        return None
-
-    cs, ox, oy = grid_spec.cell_size, grid_spec.origin_x, grid_spec.origin_y
-    lo_col = max(0, int(math.floor((min(ax, bx, cx) - ox) / cs - 0.5)) - 1)
-    hi_col = min(grid_spec.width - 1, int(math.ceil((max(ax, bx, cx) - ox) / cs)) + 1)
-    lo_row = max(0, int(math.floor((min(ay, by, cy) - oy) / cs - 0.5)) - 1)
-    hi_row = min(grid_spec.height - 1, int(math.ceil((max(ay, by, cy) - oy) / cs)) + 1)
-    if lo_col > hi_col or lo_row > hi_row:
-        return None
-
-    cols = np.arange(lo_col, hi_col + 1)
-    rows = np.arange(lo_row, hi_row + 1)
-    px = grid_spec.center_x(cols)[None, :]
-    py = grid_spec.center_y(rows)[:, None]
-    d1 = _edge_values(ax, ay, bx, by, px, py)
-    d2 = _edge_values(bx, by, cx, cy, px, py)
-    d3 = _edge_values(cx, cy, ax, ay, px, py)
-    if area2 > 0:
-        inside = (d1 >= 0) & (d2 >= 0) & (d3 >= 0)
-    else:
-        inside = (d1 <= 0) & (d2 <= 0) & (d3 <= 0)
-    return lo_row, lo_col, inside
+    # each triangle's vertices a, b, c, a: edge a runs from vertex a to the next
+    loop = np.array([((0.0, 0.0),) * 4 if tri is None else (*tri, tri[0])
+                     for tri in triangles], dtype=float).reshape(-1, 4, 2)
+    v, e = loop[:, :3], loop[:, 1:] - loop[:, :3]
+    # (b - a) x (c - a), exactly: c - a is the negated third edge
+    area2 = e[:, 0, 1] * e[:, 2, 0] - e[:, 0, 0] * e[:, 2, 1]
+    # negating a clockwise triangle's edges negates each edge value exactly,
+    # so inside is always >= 0; a degenerate one gets an empty window below
+    e *= np.sign(area2)[:, None, None]
+    # min((v - origin) / cell) is (min - origin) / cell: rounding is monotone
+    s = (v - [grid_spec.origin_x, grid_spec.origin_y]) / grid_spec.cell_size
+    lo = np.maximum(np.floor(s.min(axis=1) - 0.5).astype(np.intp) - 1, 0)
+    hi = np.minimum(np.ceil(s.max(axis=1)).astype(np.intp) + 1,
+                    [grid_spec.width - 1, grid_spec.height - 1])
+    hi[area2 == 0.0] = -1
+    span_cols, span_rows = np.maximum.reduce(hi - lo + 1)
+    i, j = np.arange(span_rows), np.arange(span_cols)
+    row, col = lo[:, 1:] + i, lo[:, :1] + j  # (k, span_rows), (k, span_cols)
+    px = grid_spec.origin_x + (col + 0.5) * grid_spec.cell_size
+    py = grid_spec.origin_y + (row + 0.5) * grid_spec.cell_size
+    # (b - a) x (p - a) >= 0 on all three edges at once, the scalar oracle's
+    # cross product; as a rounded difference of two products it is >= 0
+    # exactly when the first product is >= the second
+    first = e[..., 0, None, None] * (py[:, None, :, None] - v[..., 1, None, None])
+    second = e[..., 1, None, None] * (px[:, None, None, :] - v[..., 0, None, None])
+    inside = np.logical_and.reduce(first >= second, axis=1)
+    inside &= (row <= hi[:, 1:])[:, :, None]  # the padding past each window
+    inside &= (col <= hi[:, :1])[:, None, :]
+    owner, at = np.divmod(np.flatnonzero(inside), span_rows * span_cols)
+    offset = (i[:, None] * grid_spec.width + j).ravel()
+    return owner, (lo[:, 1] * grid_spec.width + lo[:, 0])[owner] + offset[at]
 
 
 def rasterize_triangle(tri: TriangleLike, grid_spec: GridSpec) -> np.ndarray:
@@ -108,25 +100,8 @@ def rasterize_triangle(tri: TriangleLike, grid_spec: GridSpec) -> np.ndarray:
     Returns a row-major ``(height, width)`` bool array over the whole grid.
     """
     bits = np.zeros((grid_spec.height, grid_spec.width), dtype=bool)
-    window = _triangle_window(tri, grid_spec)
-    if window is not None:
-        lo_row, lo_col, inside = window
-        bits[lo_row:lo_row + inside.shape[0], lo_col:lo_col + inside.shape[1]] = inside
+    bits.flat[_cells([tri], grid_spec)[1]] = True
     return bits
-
-
-_NO_CELLS = np.zeros(0, dtype=np.intp)
-_NO_CELLS.setflags(write=False)
-
-
-def _triangle_cells(tri: TriangleLike, grid_spec: GridSpec) -> np.ndarray:
-    """Flat row-major indices (row * width + col) of a triangle's cells, ascending."""
-    window = _triangle_window(tri, grid_spec)
-    if window is None:
-        return _NO_CELLS
-    lo_row, lo_col, inside = window
-    rows, cols = np.nonzero(inside)
-    return (rows + lo_row) * grid_spec.width + (cols + lo_col)
 
 
 def fov_triangle(v: VehicleState, range_m: float, half_angle: float) -> tuple:
@@ -145,7 +120,7 @@ def fov_triangle(v: VehicleState, range_m: float, half_angle: float) -> tuple:
 
 
 class EpochRasters:
-    """The ROI and FOV cells of one epoch's users, each rasterized once.
+    """The ROI and FOV cells of one epoch's users.
 
     Every gain and awareness term is a subset of some user's ROI, so only
     the union of the users' ROI cells is kept: ``cells`` holds their flat
@@ -158,27 +133,22 @@ class EpochRasters:
     def __init__(self, ids: Sequence[int], rois: Mapping, fovs: Mapping,
                  grid_spec: GridSpec):
         self.ids = tuple(ids)
-        self._row = {u: a for a, u in enumerate(self.ids)}
-        roi_cells = [_triangle_cells(rois[u].triangle, grid_spec) for u in self.ids]
-        fov_cells = [_triangle_cells(fovs[u], grid_spec) for u in self.ids]
-        merged = np.sort(np.concatenate([_NO_CELLS, *roi_cells]))
+        n = len(self.ids)
+        owner, flat = _cells([rois[u].triangle for u in self.ids]
+                             + [fovs[u] for u in self.ids], grid_spec)
+        split = np.searchsorted(owner, n)  # the ROIs' cells come first
+        merged = np.sort(flat[:split])
         first = np.ones(merged.size, dtype=bool)
         first[1:] = merged[1:] != merged[:-1]
         self.cells = merged[first]
-        shape = (len(self.ids), self.cells.size)
-        self.roi = np.zeros(shape, dtype=bool)
-        self.fov = np.zeros(shape, dtype=bool)
-        for a in range(len(self.ids)):
-            self.roi[a, np.searchsorted(self.cells, roi_cells[a])] = True
-            self.fov[a, self._columns(fov_cells[a])] = True
-        self.total = np.count_nonzero(self.roi, axis=1)
-
-    def _columns(self, cells: np.ndarray) -> np.ndarray:
-        """Columns of the given grid cells that lie in the ROI union."""
-        if not self.cells.size:
-            return _NO_CELLS
-        pos = np.minimum(np.searchsorted(self.cells, cells), self.cells.size - 1)
-        return pos[self.cells[pos] == cells]
+        # rows 0..n-1 the ROIs, n..2n-1 the FOVs; FOV cells outside the ROI
+        # union have no column
+        column = np.searchsorted(self.cells, flat)
+        kept = np.concatenate((self.cells, [-1]))[column] == flat
+        bits = np.zeros((2 * n, self.cells.size), dtype=bool)
+        bits[owner[kept], column[kept]] = True
+        self.roi, self.fov = bits[:n], bits[n:]
+        self.total = np.bincount(owner[:split], minlength=n)
 
     def quality(self) -> np.ndarray:
         """Pairwise shared interest of all users, rows/columns in ``ids`` order.
@@ -188,21 +158,25 @@ class EpochRasters:
         """
         need = self.roi & ~self.fov
         counts = np.count_nonzero(need[:, None, :] & self.fov[None, :, :], axis=2)
-        total = self.total[:, None]
-        g = np.zeros(counts.shape)
-        np.divide(counts, total, out=g, where=total > 0)
+        g = _share(counts, self.total[:, None])
         return g + g.T
 
-    def awareness(self, i: int, collaborators: Iterable[int]) -> float:
-        """Fraction of user i's ROI covered by its own FOV plus collaborators' FOVs;
-        0.0 for an ROI with no cells (straight, degenerate or off the grid)."""
-        a = self._row[i]
-        total = int(self.total[a])
-        if total == 0:
-            return 0.0
-        others = [self._row[k] for k in collaborators]
-        cover = self.fov[a] | self.fov[others].any(axis=0)
-        return int(np.count_nonzero(self.roi[a] & cover)) / total
+    def awareness(self, workers: Sequence[int]) -> np.ndarray:
+        """Each user's fraction of ROI covered by its own FOV plus the FOVs of
+        the users its worker also serves; ``workers[a]`` serves row a, -1 for
+        none. 0.0 for an ROI with no cells (straight, degenerate or off the grid)."""
+        cover = self.fov.copy()
+        for j in set(workers) - {-1}:
+            team = [a for a, w in enumerate(workers) if w == j]
+            cover[team] = self.fov[team].any(axis=0)
+        return _share(np.count_nonzero(self.roi & cover, axis=1), self.total)
+
+
+def _share(counts: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """``counts / total`` elementwise, 0.0 where ``total`` is 0."""
+    out = np.zeros(counts.shape)
+    np.divide(counts, total, out=out, where=total > 0)
+    return out
 
 
 def detected_awareness(i: int, collaborators: Iterable[int],
@@ -212,7 +186,8 @@ def detected_awareness(i: int, collaborators: Iterable[int],
     others = sorted(set(collaborators) - {i})
     # collaborators' ROIs do not enter i's awareness
     only_i = {**dict.fromkeys(others, STRAIGHT_ROI), i: rois[i]}
-    return EpochRasters([i, *others], only_i, fovs, grid_spec).awareness(i, others)
+    bank = EpochRasters([i, *others], only_i, fovs, grid_spec)
+    return float(bank.awareness([0] * len(bank.ids))[0])
 
 
 @dataclass(frozen=True)

@@ -51,11 +51,10 @@ def epoch_metrics(slot: int, rasters: Optional[EpochRasters],
     """Evaluate one decision epoch on its raster bank and instance (None for an
     empty queue); ``assignment`` and ``turns`` are over the rows of ``rasters.ids``."""
     eta = assignment.eta()
+    aware = rasters.awareness(assignment.key(len(turns))).tolist() if turns else []
     records = []
-    for i, turn in enumerate(turns):
+    for i, (turn, awareness) in enumerate(zip(turns, aware)):
         j = assignment.worker_of(i)
-        others = [rasters.ids[k] for k in assignment.users_of(j) if k != i]
-        awareness = rasters.awareness(rasters.ids[i], others)
         records.append(UserEpochRecord(
             user_id=rasters.ids[i],
             turn=turn,

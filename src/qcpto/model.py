@@ -99,9 +99,6 @@ class Assignment:
     def assigned_users(self) -> tuple[int, ...]:
         return tuple(sorted(self._map))
 
-    def users_of(self, worker: int) -> tuple[int, ...]:
-        return tuple(sorted(u for u, w in self._map.items() if w == worker))
-
     def eta(self) -> dict[int, int]:
         """Per-worker collaborator counts, recomputed from the map."""
         counts: dict[int, int] = {}

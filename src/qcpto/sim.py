@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -270,12 +271,13 @@ def sweep(experiment: str, grid: Sequence, seeds: Sequence[int],
 
     The QCPTO_THREADS environment variable caps process parallelism;
     unset, empty or 1 runs sequentially. The pool never holds more processes
-    than there are jobs: on fork it starts all of them at the first submit.
+    than there are jobs or host CPUs: on fork it starts all of them at the
+    first submit.
     """
     schemes = list(schemes if schemes is not None else cfg.sweep.schemes)
     jobs = [(experiment, value, scheme, seed, cfg)
             for value in grid for scheme in schemes for seed in seeds]
-    threads = min(sweep_threads(), len(jobs))
+    threads = min(sweep_threads(), len(jobs), os.cpu_count() or 1)
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             records = list(pool.map(_sweep_job, jobs))

@@ -15,7 +15,7 @@ Three kinds of entry live here:
   row arithmetic and sharing, not those formulas; the closed-form checks
   pin the formulas.
 - Convenience wrappers over library code (``shared_interest``,
-  ``save_trace``, ``instance_from_json``, ``bare_instance``,
+  ``users_of``, ``save_trace``, ``instance_from_json``, ``bare_instance``,
   ``first_route``), used to build inputs or to call one piece of the
   pipeline on its own.
 """
@@ -28,6 +28,7 @@ import numpy as np
 
 from qcpto.config import PredictorSection
 from qcpto.geometry import EpochRasters, QualityMatrix
+from qcpto.model import Assignment
 from qcpto.predict import _cov_root, _predict_cov, _readonly, _update_cov
 from qcpto.qmkp import QmkpInstance
 from qcpto.trace import CSV_HEADER, Trace
@@ -168,6 +169,11 @@ def shared_interest(i, k, rois, fovs, grid_spec) -> float:
     if i == k:
         raise ValueError("shared interest is defined for distinct users")
     return float(EpochRasters([i, k], rois, fovs, grid_spec).quality()[0, 1])
+
+
+def users_of(assignment: Assignment, worker) -> tuple[int, ...]:
+    """The users an assignment gives to one worker, ascending."""
+    return tuple(u for u, w in assignment.items() if w == worker)
 
 
 def save_trace(trace: Trace, path) -> None:

@@ -5,7 +5,7 @@ from qcpto.geometry import QualityMatrix
 from qcpto.qmkp import evaluate_objective, random_instance, repair_min_pair
 from qcpto.solve_exact import solve_exact
 
-from oracles import bare_instance
+from oracles import bare_instance, users_of
 
 
 def count_instance(n, caps, **task):
@@ -26,7 +26,7 @@ def test_go_zero_capacity_assigns_none():
 def test_go_id_order_tie_break():
     inst = count_instance(3, [2])
     a = solve_go(inst)
-    assert a.users_of(0) == (0, 1)
+    assert users_of(a, 0) == (0, 1)
     assert a.worker_of(2) is None
 
 
@@ -34,7 +34,7 @@ def test_go_prefers_nearest_worker():
     distance = np.array([[5.0, 1.0], [5.0, 1.0]])
     inst = count_instance(2, [2, 2], distance=distance)
     a = solve_go(inst)
-    assert a.users_of(1) == (0, 1)
+    assert users_of(a, 1) == (0, 1)
 
 
 def test_go_respects_allowed_mask():
@@ -47,7 +47,7 @@ def test_go_respects_allowed_mask():
 def test_cpto_uniform_spreading():
     inst = count_instance(4, [4, 4])
     a = solve_cpto(inst)
-    assert len(a.users_of(0)) == 2 and len(a.users_of(1)) == 2
+    assert len(users_of(a, 0)) == 2 and len(users_of(a, 1)) == 2
 
 
 def test_cpto_count_equals_capacity_sum_when_binding():

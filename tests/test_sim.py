@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import os
 
 import numpy as np
 import pytest
@@ -174,14 +175,16 @@ def recording_pool(sizes):
     return Pool
 
 
-@pytest.mark.parametrize("threads,seeds,size", [
-    ("5000", (0, 1), 2),  # never more processes than jobs
-    ("2", (0, 1, 2), 2),
-    ("5000", (0,), None),  # one job runs in-process, without a pool
-])
-def test_sweep_pool_never_exceeds_the_job_count(monkeypatch, threads, seeds, size):
+@pytest.mark.parametrize("threads,seeds,cpus,size", [
+    ("5000", (0, 1), 64, 2),  # never more processes than jobs
+    ("2", (0, 1, 2), 64, 2),
+    ("5000", (0,), 64, None),  # one job runs in-process, without a pool
+    ("5000", (0, 1, 2), 2, 2),  # nor more than the host's CPUs
+], ids=["5000-seeds0-2", "2-seeds1-2", "5000-seeds2-None", "5000-cpus2"])
+def test_sweep_pool_never_exceeds_the_job_count(monkeypatch, threads, seeds, cpus, size):
     sizes = []
     monkeypatch.setattr(sim, "ProcessPoolExecutor", recording_pool(sizes))
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setenv("QCPTO_THREADS", threads)
     records = sweep("UserCount", (4,), seeds, small_cfg(), ("go",))
     assert [r["seed"] for r in records] == list(seeds)

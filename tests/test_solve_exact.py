@@ -11,7 +11,7 @@ from qcpto.sim import make_synthetic_instance
 from qcpto.solve_exact import solve_exact
 from qcpto.solve_heur import solve_heuristic
 
-from oracles import bare_instance
+from oracles import bare_instance, users_of
 
 
 def quality(entries, n):
@@ -25,7 +25,7 @@ def test_two_users_one_worker():
     inst = bare_instance(quality({(0, 1): 0.5}, 2), capacity=(2.0,))
     sol = solve_exact(inst)
     assert sol.objective == pytest.approx(0.5)
-    assert sol.assignment.users_of(0) == (0, 1)
+    assert users_of(sol.assignment, 0) == (0, 1)
     assert check_feasible(sol.assignment, inst)[0] and not sol.budget_exceeded
 
 
@@ -34,7 +34,7 @@ def test_three_users_capacity_two_picks_best_pair():
         quality({(0, 1): 0.9, (0, 2): 0.2, (1, 2): 0.1}, 3), capacity=(2.0,))
     sol = solve_exact(inst)
     assert sol.objective == pytest.approx(0.9)
-    assert sol.assignment.users_of(0) == (0, 1)
+    assert users_of(sol.assignment, 0) == (0, 1)
     assert sol.assignment.worker_of(2) is None
 
 
