@@ -192,7 +192,11 @@ def detected_awareness(i: int, collaborators: Iterable[int],
 
 @dataclass(frozen=True)
 class QualityMatrix:
-    """Symmetric matrix of pairwise shared-interest values, zero diagonal."""
+    """Symmetric matrix of pairwise shared-interest values, zero diagonal.
+
+    Not re-checked here: ``EpochRasters.quality`` builds it as g + g^T with
+    a zero diagonal and each g in [0, 1].
+    """
 
     q: np.ndarray
 
@@ -200,12 +204,6 @@ class QualityMatrix:
         q = np.asarray(self.q, dtype=float)
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise ValueError("quality matrix must be square")
-        if not np.array_equal(q, q.T):
-            raise ValueError("quality matrix must be symmetric")
-        if np.any(np.diagonal(q) != 0.0):
-            raise ValueError("quality matrix diagonal must be zero")
-        if q.size and (q.min() < 0.0 or q.max() > 2.0 + 1e-9):
-            raise ValueError("quality values must lie in [0, 2]")
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
 

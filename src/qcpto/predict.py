@@ -8,27 +8,27 @@ predicted displacement classifies the next movement as a left turn, a right
 turn, or straight driving; turning users get a triangular region of interest
 pointing sideways from their heading.
 
-Every filter of one bank shares A, H, Q and R, so its covariance, one-step
-predicted covariance and gain depend only on its history of measurement
-updates and coasts, never on the measured data. They live in a tree of
-``CovNode`` objects owned by the ``FilterBank``: the root holds P0, and each
-node is computed once, on first use, then shared by every filter with that
-history. The bank holds the tracked users as rows: a state vector, its node,
-an update count and a missed-slot count. The bank reads the run config's
-predictor section and the slot length.
+Every filter of one bank shares A, H, Q and R, so its covariance and gain
+depend only on its history of measurement updates and coasts, never on the
+measured data. The ``FilterBank`` keeps them in one table indexed by history
+id: ``p[k]`` is history k's covariance (history 0 holds P0), ``gain[k]`` the
+gain of an update from it, and ``succ[k]`` the history after a coast and
+after an update. Each entry is computed once, on first use, and shared by
+every filter with that history. The bank holds the tracked users as rows: a
+state vector, its history id, an update count and a missed-slot count. The
+bank reads the run config's predictor section and the slot length.
 
 No covariance is PSD-checked at run time. The config requires every entry
 of ``p0_diag``, ``q_diag`` and ``r_diag`` to be >= 0, so P0, Q and R are PSD
 by construction, and the transitions and updates keep each covariance
 symmetric PSD up to rounding. ``tests/test_predict.py`` checks that property
-on every node of seeded 40- and 200-vehicle runs, against the tolerance in
+on every history of seeded 40- and 200-vehicle runs, against the tolerance in
 ``tests/oracles.py``. Only a singular innovation covariance is caught here,
 by ``_update_cov``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
@@ -40,11 +40,6 @@ if TYPE_CHECKING:
     from .config import PredictorSection
 
 SINGULAR_DET = 1e-12  # smallest |det| of an innovation covariance an update accepts
-
-
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
 
 
 def _predict_cov(a_mat: np.ndarray, p_cov: np.ndarray,
@@ -69,55 +64,6 @@ def _update_cov(h_mat: np.ndarray, p_pred: np.ndarray,
     return gain, 0.5 * (p_new + p_new.T)
 
 
-@dataclass(frozen=True)
-class FilterModel:
-    """A, H, Q and R shared by every filter of one bank."""
-
-    a_mat: np.ndarray
-    h_mat: np.ndarray
-    q_proc: np.ndarray
-    r_meas: np.ndarray
-
-
-class CovNode:
-    """Covariance of one update/coast history, shared by all filters with it.
-
-    The predicted covariance, the gain and the successors after an update
-    or a coast are computed on first use and kept.
-    """
-
-    __slots__ = ("model", "p_cov", "_p_pred", "_gain", "_updated", "_coasted")
-
-    def __init__(self, model: FilterModel, p_cov: np.ndarray):
-        self.model = model
-        self.p_cov = _readonly(p_cov)
-        self._p_pred: Optional[np.ndarray] = None
-        self._gain: Optional[np.ndarray] = None
-        self._updated: Optional[CovNode] = None
-        self._coasted: Optional[CovNode] = None
-
-    @property
-    def p_pred(self) -> np.ndarray:
-        """One-step predicted covariance."""
-        if self._p_pred is None:
-            m = self.model
-            self._p_pred = _readonly(_predict_cov(m.a_mat, self.p_cov, m.q_proc))
-        return self._p_pred
-
-    def update(self) -> tuple[np.ndarray, "CovNode"]:
-        """Gain of the next measurement update and the node after it."""
-        if self._updated is None:
-            gain, p_new = _update_cov(self.model.h_mat, self.p_pred, self.model.r_meas)
-            self._updated, self._gain = CovNode(self.model, p_new), _readonly(gain)
-        return self._gain, self._updated
-
-    def coast(self) -> "CovNode":
-        """Node after one slot without a measurement."""
-        if self._coasted is None:
-            self._coasted = CovNode(self.model, self.p_pred)
-        return self._coasted
-
-
 def cv_transition(delta: float) -> np.ndarray:
     return np.array([
         [1.0, 0.0, delta, 0.0],
@@ -131,17 +77,6 @@ MEASUREMENT_MATRIX = np.array([
     [1.0, 0.0, 0.0, 0.0],
     [0.0, 1.0, 0.0, 0.0],
 ])
-
-
-def _cov_root(p: PredictorSection, delta: float) -> CovNode:
-    """Root of a covariance tree: P0 on the model with slot length delta."""
-    model = FilterModel(
-        a_mat=_readonly(cv_transition(delta)),
-        h_mat=_readonly(MEASUREMENT_MATRIX.copy()),
-        q_proc=_readonly(np.diag(p.q_diag).astype(float)),
-        r_meas=_readonly(np.diag(p.r_diag).astype(float)),
-    )
-    return CovNode(model, np.diag(p.p0_diag).astype(float))
 
 
 def classify_turn(current: VehicleState, predicted_pos,
@@ -186,22 +121,55 @@ class FilterBank:
     """The filters of every tracked user, one row each.
 
     Row r tracks user ``uids[r]``: state ``x[r]`` ([px, py, vx, vy]) on the
-    shared covariance ``nodes[r]``, ``updates[r]`` measurement updates and
+    shared covariance ``p[hist[r]]``, ``updates[r]`` measurement updates and
     ``missed[r]`` slots since the last one. Per slot, ``run_predictor``
-    measures the rows present and ``coast`` advances the rest. The bank's
-    covariance tree is built from ``cfg`` on the model with slot length
-    ``delta``.
+    measures the rows present and ``coast`` advances the rest. The model
+    matrices are built from ``cfg`` with slot length ``delta``.
     """
 
     def __init__(self, cfg: PredictorSection, delta: float):
         self.cfg = cfg
         self.theta_turn = math.radians(cfg.theta_turn_deg)
-        self.root = _cov_root(cfg, delta)
+        self.a_mat = cv_transition(delta)
+        self.h_mat = MEASUREMENT_MATRIX
+        self.q_proc = np.diag(cfg.q_diag).astype(float)
+        self.r_meas = np.diag(cfg.r_diag).astype(float)
+        # the history table, row k for history k (0 is P0); -1 marks a
+        # successor and NaN a gain not built yet
+        self.p = np.diag(cfg.p0_diag).astype(float)[None]
+        self.gain = np.full((1, 4, 2), np.nan)
+        self.succ = np.full((1, 2), -1, dtype=np.intp)  # [after a coast, after an update]
         self.uids = np.empty(0, dtype=np.int64)
         self.x = np.empty((0, 4))
-        self.nodes = np.empty(0, dtype=object)  # CovNode per row
+        self.hist = np.empty(0, dtype=np.intp)
         self.updates = np.empty(0, dtype=np.int64)
         self.missed = np.empty(0, dtype=np.int64)
+
+    def advance(self, hist: np.ndarray, update: bool) -> np.ndarray:
+        """The history ids after one coast, or one update, of each id in ``hist``.
+
+        Missing successors are built once each, visiting the distinct
+        histories in order of first appearance, and all of them before the
+        table changes, so a singular innovation leaves the bank as it was.
+        """
+        step = int(update)
+        missing = list(dict.fromkeys(hist[self.succ[hist, step] < 0].tolist()))
+        if missing:
+            covs, gains = [], []
+            for k in missing:
+                cov = _predict_cov(self.a_mat, self.p[k], self.q_proc)
+                if update:
+                    gain, cov = _update_cov(self.h_mat, cov, self.r_meas)
+                    gains.append(gain)
+                covs.append(cov)
+            size = len(self.p)
+            self.succ[missing, step] = np.arange(size, size + len(missing))
+            self.succ = np.concatenate([self.succ, np.full((len(missing), 2), -1)])
+            self.p = np.concatenate([self.p, covs])
+            self.gain = np.concatenate([self.gain, np.full((len(missing), 4, 2), np.nan)])
+            if update:
+                self.gain[missing] = gains
+        return self.succ[hist, step]
 
 
 def run_predictor(states: Sequence[VehicleState], bank: FilterBank,
@@ -213,48 +181,40 @@ def run_predictor(states: Sequence[VehicleState], bank: FilterBank,
     more missed slot. Classification is suppressed (Straight) until a filter
     has consumed ``warmup_slots`` measurements.
     """
-    cfg, model = bank.cfg, bank.root.model
+    cfg = bank.cfg
     z = np.array([s.position for s in states], dtype=float).reshape(-1, 2)
     if states and cfg.measurement_noise_std > 0.0:
         if rng is None:
             raise ValueError("measurement noise enabled but no rng supplied")
         z = z + rng.normal(0.0, cfg.measurement_noise_std, size=z.shape)
 
-    # known users ordered so that the rows on one covariance node, which share
-    # one gain, are contiguous; every gain comes first, so a singular
-    # innovation leaves the bank as it was
     ids = np.array([s.user_id for s in states], dtype=np.int64)
     row_of = {uid: r for r, uid in enumerate(bank.uids.tolist())}
     rows = np.array([row_of.get(uid, -1) for uid in ids.tolist()], dtype=np.intp)
-    groups: dict[CovNode, list[int]] = {}
-    for i, row in enumerate(rows.tolist()):
-        if row >= 0:
-            groups.setdefault(bank.nodes[row], []).append(i)
-    steps = [(node.update(), len(members)) for node, members in groups.items()]
-    known = np.array([i for members in groups.values() for i in members], dtype=np.intp)
+    known = np.flatnonzero(rows >= 0)
     known_rows = rows[known]
-    x_new = bank.x[known_rows] @ model.a_mat.T
-    innovation = z[known] - x_new @ model.h_mat.T
-    start = 0
-    for (gain, node), size in steps:
-        x_new[start:start + size] += innovation[start:start + size] @ gain.T
-        bank.nodes[known_rows[start:start + size]] = node
-        start += size
+    hist = bank.hist[known_rows]
+    updated = bank.advance(hist, update=True)  # raises before any row changes
+    gain = bank.gain[hist]
+    x_new = bank.x[known_rows] @ bank.a_mat.T
+    innovation = z[known] - x_new @ bank.h_mat.T
+    x_new += (innovation[:, None, :] @ gain.swapaxes(1, 2))[:, 0]
     bank.x[known_rows] = x_new
+    bank.hist[known_rows] = updated
     bank.updates[known_rows] += 1
 
     new = np.flatnonzero(rows < 0)
     rows[new] = len(bank.uids) + np.arange(len(new))
     bank.uids = np.concatenate([bank.uids, ids[new]])
     bank.x = np.concatenate([bank.x, np.hstack([z[new], np.zeros((len(new), 2))])])
-    bank.nodes = np.concatenate([bank.nodes, np.full(len(new), bank.root)])
+    bank.hist = np.concatenate([bank.hist, np.zeros(len(new), dtype=np.intp)])
     bank.updates = np.concatenate([bank.updates, np.ones(len(new), dtype=np.int64)])
     bank.missed = np.concatenate([bank.missed + 1, np.zeros(len(new), dtype=np.int64)])
     bank.missed[rows] = 0
 
     out: dict[int, Roi] = {}
     warm = (bank.updates[rows] >= cfg.warmup_slots).tolist()
-    ahead = (bank.x[rows] @ model.a_mat.T)[:, :2].tolist()
+    ahead = (bank.x[rows] @ bank.a_mat.T)[:, :2].tolist()
     for state, is_warm, predicted_pos in zip(states, warm, ahead):
         turn = (classify_turn(state, predicted_pos, bank.theta_turn)
                 if is_warm else Turn.STRAIGHT)
@@ -270,8 +230,8 @@ def coast(bank: FilterBank) -> None:
     starts over when it is measured again.
     """
     keep = bank.missed <= bank.cfg.coast_slots
-    for name in ("uids", "x", "nodes", "updates", "missed"):
+    for name in ("uids", "x", "hist", "updates", "missed"):
         setattr(bank, name, getattr(bank, name)[keep])
     rows = np.flatnonzero(bank.missed > 0)
-    bank.x[rows] = bank.x[rows] @ bank.root.model.a_mat.T
-    bank.nodes[rows] = [node.coast() for node in bank.nodes[rows]]
+    bank.x[rows] = bank.x[rows] @ bank.a_mat.T
+    bank.hist[rows] = bank.advance(bank.hist[rows], update=False)

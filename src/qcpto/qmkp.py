@@ -28,6 +28,8 @@ from .errors import DomainError
 from .geometry import QualityMatrix
 from .model import Assignment
 
+DEADLINE_TOL = 1e-12  # seconds a response time may exceed kappa by rounding
+
 
 @dataclass(frozen=True)
 class QmkpInstance:
@@ -111,13 +113,13 @@ class Solution:
     trajectory: tuple[float, ...] = ()  # best-so-far objective per iteration
 
 
-def evaluate_objective(assignment: Assignment, quality) -> float:
+def evaluate_objective(assignment: Assignment, quality: QualityMatrix) -> float:
     """Sum of q_ik over unordered co-assigned pairs.
 
     Pairs are accumulated in global (i, k) id order so that assignments
     realizing the same pair set produce bit-identical objectives.
     """
-    q = quality.q if isinstance(quality, QualityMatrix) else np.asarray(quality)
+    q = quality.q
     users = assignment.assigned_users()
     total = 0.0
     for a, i in enumerate(users):
@@ -157,7 +159,7 @@ def check_feasible(assignment: Assignment, inst: QmkpInstance,
     if strict_deadline:
         for u, j in known:
             t = inst.latency_of(u, j, eta[j])
-            if t > inst.kappa + 1e-12:
+            if t > inst.kappa + DEADLINE_TOL:
                 violations.append(
                     f"user {u} response time {t:.6f} s exceeds deadline {inst.kappa:g} s")
     return (not violations, violations)
@@ -181,7 +183,7 @@ def repair_deadline(assignment: Assignment, inst: QmkpInstance,
     constraint pass ``enforce_min_pair=False``.
     """
     q = inst.quality.q
-    limit = inst.kappa + 1e-12
+    limit = inst.kappa + DEADLINE_TOL
     current = assignment
     while True:
         placed = current.items()
@@ -286,7 +288,7 @@ def enumerate_optimal(inst: QmkpInstance, chunk_size: int = 1 << 16) -> Solution
     best_obj = -math.inf
     for _, row in candidates:
         a = Assignment({u: int(row[u]) for u in range(n) if row[u] != m})
-        val = evaluate_objective(a, q)
+        val = evaluate_objective(a, inst.quality)
         if val > best_obj or (val == best_obj and
                               (best_sol is None or a.key(n) < best_sol.key(n))):
             best_obj = val

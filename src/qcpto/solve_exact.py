@@ -72,7 +72,7 @@ def solve_exact(inst: QmkpInstance, budget: int = 2_000_000) -> Solution:
     # incumbent warm start: the greedy packing, repaired
     warm = repair_min_pair(Assignment.from_key(greedy_bin_packing(inst)))
     best_assignment = warm
-    best_obj = evaluate_objective(warm, q)
+    best_obj = evaluate_objective(warm, inst.quality)
     best_key = warm.key(n)
     empty_key = Assignment.empty().key(n)
     if best_obj <= 0.0 and empty_key < best_key:
@@ -104,7 +104,7 @@ def solve_exact(inst: QmkpInstance, budget: int = 2_000_000) -> Solution:
             return
         image = lex_smallest_image()
         cand = Assignment.from_key(image)
-        val = evaluate_objective(cand, q)
+        val = evaluate_objective(cand, inst.quality)
         key = tuple(image)
         if val > best_obj or (val == best_obj and key < best_key):
             best_assignment, best_obj, best_key = cand, val, key

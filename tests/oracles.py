@@ -11,9 +11,10 @@ Three kinds of entry live here:
   ``kf_update``) steps one filter at a time and checks every covariance with
   ``_check_psd``, a PSD test the pipeline does not run. It
   shares the filter bank's covariance helpers from ``qcpto.predict``
-  (``_cov_root``, ``_predict_cov``, ``_update_cov``), so it pins the bank's
-  row arithmetic and sharing, not those formulas; the closed-form checks
-  pin the formulas.
+  (``_predict_cov``, ``_update_cov``) and reads P0 and the model matrices
+  from a fresh ``FilterBank``, so it pins the bank's row arithmetic and its
+  history table, not those formulas; the closed-form checks pin the
+  formulas.
 - Convenience wrappers over library code (``shared_interest``,
   ``users_of``, ``save_trace``, ``instance_from_json``, ``bare_instance``,
   ``first_route``), used to build inputs or to call one piece of the
@@ -29,7 +30,7 @@ import numpy as np
 from qcpto.config import PredictorSection
 from qcpto.geometry import EpochRasters, QualityMatrix
 from qcpto.model import Assignment
-from qcpto.predict import _cov_root, _predict_cov, _readonly, _update_cov
+from qcpto.predict import FilterBank, _predict_cov, _update_cov
 from qcpto.qmkp import QmkpInstance
 from qcpto.trace import CSV_HEADER, Trace
 
@@ -129,8 +130,9 @@ class KfState:
 
     def __post_init__(self):
         for name in ("x_hat", "p_cov", "a_mat", "h_mat", "q_proc", "r_meas"):
-            object.__setattr__(self, name,
-                               _readonly(np.asarray(getattr(self, name), dtype=float)))
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         if self.x_hat.shape != (4,):
             raise ValueError("state must be a 4-vector")
         for name in ("p_cov", "q_proc", "r_meas"):
@@ -139,10 +141,9 @@ class KfState:
 
 def init_state(first_pos, p: PredictorSection, delta: float) -> KfState:
     """Filter for a newly seen user: measured position, zero velocity."""
-    root = _cov_root(p, delta)
-    m = root.model
+    bank = FilterBank(p, delta)
     x0 = np.array([float(first_pos[0]), float(first_pos[1]), 0.0, 0.0])
-    return KfState(x0, root.p_cov, m.a_mat, m.h_mat, m.q_proc, m.r_meas,
+    return KfState(x0, bank.p[0], bank.a_mat, bank.h_mat, bank.q_proc, bank.r_meas,
                    updates=1)
 
 

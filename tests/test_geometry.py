@@ -4,9 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from qcpto.geometry import (EpochRasters, GridSpec, QualityMatrix,
-                            build_quality_matrix, detected_awareness, fov_triangle,
-                            rasterize_triangle)
+from qcpto.geometry import (EpochRasters, GridSpec, build_quality_matrix,
+                            detected_awareness, fov_triangle, rasterize_triangle)
 from qcpto.model import Roi, Turn, VehicleState
 
 from oracles import (awareness_oracle, raster_cells, shared_interest,
@@ -192,11 +191,3 @@ def test_quality_matrix_matches_pairwise_calls_and_permutes():
         for b, k in enumerate(perm):
             if a != b:
                 assert qp.q[a, b] == qm.q[ids.index(i), ids.index(k)]
-
-
-def test_quality_matrix_validation():
-    with pytest.raises(ValueError):
-        QualityMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]))  # asymmetric
-    with pytest.raises(ValueError):
-        QualityMatrix(np.array([[1.0]]))  # nonzero diagonal
-

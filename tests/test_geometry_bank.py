@@ -173,8 +173,12 @@ def test_dense_go_scenario_matches_full_grid_loop(monkeypatch):
     users = 0
     for ctx, log in zip(contexts, logs):
         if ctx.instance is not None:
+            q = ctx.instance.quality.q
+            # the pipeline checks none of these properties of its matrices
+            assert np.array_equal(q, q.T) and not np.diagonal(q).any()
+            assert q.min() >= 0.0 and q.max() <= 2.0
             want = full_grid_quality(ctx.queue_ids, ctx.rois, ctx.fovs, spec)
-            assert np.array_equal(ctx.instance.quality.q, want)
+            assert np.array_equal(q, want)
         for rec in log.report.records:
             collaborators = (users_of(log.assignment, rec.worker_id)
                              if rec.worker_id is not None else [])

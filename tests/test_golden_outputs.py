@@ -1,8 +1,9 @@
 """Seeded `qcpto run` outputs, pinned by digest.
 
 Each digest is the sha256 of run.json followed by epochs.csv, as written by
-``qcpto run --scheme S --seed N`` with the default configuration, or with
-``predictor.measurement_noise_std = 0.5`` for the noisy runs. A change
+``qcpto run --scheme S --seed N`` with the default configuration, with
+``predictor.measurement_noise_std = 0.5`` for the noisy runs, or with
+``predictor.coast_slots = 10`` for the coasting run. A change
 that is meant to keep every reported number must keep these digests; a change
 that moves one must say which output changed and why.
 """
@@ -42,6 +43,12 @@ NOISY_DIGESTS = {
 }
 
 
+# at the default coast_slots of 3 no coasted filter is measured again; at 10,
+# 43 rows of the seed-0 trace resume their filter after coasting, so this run
+# pins the coast-then-update path end to end
+COAST_DIGEST = "ce16e6f5b0ab4507509bccd443d9b5316ba0046e051b7a686a7e6c02c088ef49"
+
+
 def run_digest(out, argv):
     assert main(["run", *argv, "--out", str(out)]) == 0
     h = hashlib.sha256()
@@ -63,3 +70,10 @@ def test_noisy_run_outputs_match_the_pinned_digest(tmp_path, scheme, seed):
                       encoding="utf-8")
     argv = ["--config", str(config), "--scheme", scheme, "--seed", str(seed)]
     assert run_digest(tmp_path / "run", argv) == NOISY_DIGESTS[(scheme, seed)]
+
+
+def test_coasting_run_outputs_match_the_pinned_digest(tmp_path):
+    config = tmp_path / "coast.json"
+    config.write_text(json.dumps({"predictor": {"coast_slots": 10}}), encoding="utf-8")
+    argv = ["--config", str(config), "--scheme", "heuristic", "--seed", "0"]
+    assert run_digest(tmp_path / "run", argv) == COAST_DIGEST

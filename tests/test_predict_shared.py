@@ -130,9 +130,9 @@ def check_bank(trace, cfg):
         assert set(bank.uids.tolist()) == {uid for uid, seen in last_seen.items()
                                            if slot - seen <= cfg.coast_slots}, slot
         for row, uid in enumerate(bank.uids.tolist()):
-            kf, node = ref[uid], bank.nodes[row]
+            kf, hist = ref[uid], int(bank.hist[row])
             assert np.array_equal(bank.x[row], kf.x_hat), (slot, uid)
-            assert np.array_equal(node.p_cov, kf.p_cov), (slot, uid)
+            assert np.array_equal(bank.p[hist], kf.p_cov), (slot, uid)
             assert bank.updates[row] == kf.updates, (slot, uid)
             assert bank.missed[row] == slot - last_seen[uid], (slot, uid)
             if uid not in rois:
@@ -143,8 +143,8 @@ def check_bank(trace, cfg):
                 # a filter measured again after coasting continues its updates
                 resumes += history[uid][-1] == "coast"
                 history[uid] = (history[uid], "update")
-            # every filter with the same history holds the same covariance node
-            assert shared.setdefault(history[uid], node) is node
+            # every filter with the same history holds the same history id
+            assert shared.setdefault(history[uid], hist) == hist
         steps += len(bank.uids)
     return steps, len(shared), resumes
 
@@ -223,3 +223,51 @@ def test_singular_innovation_raised_in_same_epoch_with_same_message():
     with pytest.raises(SingularInnovation) as info:
         run_simulation(trace, default_workers(cfg, 5), "go", cfg, 4)
     assert str(info.value) == f"epoch {failing}: {ref_msg}"
+
+
+def test_singular_innovation_leaves_the_bank_as_it_was():
+    # unvalidated: zero Q and R make an update singular a few slots in
+    cfg = dataclasses.replace(PredictorSection(), q_diag=(0, 0, 0, 0), r_diag=(0, 0))
+    trace = synth_intersection(ScenarioSection(n_vehicles=20), 4)
+    fields = ("uids", "x", "hist", "updates", "missed")
+    bank = last_slot = before = None
+    # drive fails in the reference's slot, after the bank failed there with
+    # the reference's message
+    with pytest.raises(SingularInnovation) as info:
+        for last_slot, _, _, bank, _ in drive(trace, cfg):
+            before = {name: getattr(bank, name).copy() for name in fields}
+    assert bank is not None, "the first slot failed; no row was measured again"
+    for name in fields:
+        assert np.array_equal(getattr(bank, name), before[name]), name
+    slots = [rec.slot for rec in trace.records]
+    states = trace.records[slots.index(last_slot) + 1].states
+
+    # the failing slot updates rows on more than one history
+    row_of = {uid: r for r, uid in enumerate(bank.uids.tolist())}
+    measured = [row_of[s.user_id] for s in states if s.user_id in row_of]
+    assert len(set(bank.hist[measured].tolist())) >= 2
+
+    with pytest.raises(SingularInnovation) as again:
+        run_predictor(states, bank)
+    assert str(again.value) == str(info.value)
+
+
+def test_singular_innovation_names_the_first_singular_user_of_the_slot():
+    # user 1 is seen at slots 0 and 2, user 2 at slots 1 and 2, so at slot 2
+    # they update from two histories; with no y variance both innovation
+    # covariances are singular, with different entries
+    cfg = dataclasses.replace(PredictorSection(), p0_diag=(1, 0, 1, 0),
+                              q_diag=(0, 0, 0, 0), r_diag=(0, 0))
+    seen = {1: (0, 2), 2: (1, 2)}
+    messages = set()
+    for order in ((1, 2), (2, 1)):
+        trace = Trace(tuple(
+            SlotRecord(t, tuple(VehicleState(u, (10.0 * t, 5.0 * u), 0.0, 10.0, t)
+                                for u in order if t in seen[u]))
+            for t in range(3)))
+        # drive checks that the bank fails with the reference's message
+        with pytest.raises(SingularInnovation) as info:
+            for _ in drive(trace, cfg):
+                pass
+        messages.add(str(info.value))
+    assert len(messages) == 2
